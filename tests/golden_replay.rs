@@ -209,3 +209,68 @@ fn golden_rows_replay_identically_through_a_v2_converted_trace() {
     assert!(failures.is_empty(), "v2 trace drift:\n{}", failures.join("\n"));
     assert!(checked >= 10, "only {checked} golden rows exercised the v2 path");
 }
+
+const FULL_FIXTURE: &str = include_str!("golden/replay_full_stats.tsv");
+
+/// FNV-1a over the hit map, one byte (0 or 1) per access — the digest
+/// `examples/golden_gen.rs` writes.
+fn hit_digest(hits: &sdbp_suite::cache::HitMap) -> u64 {
+    hits.iter().fold(0xcbf2_9ce4_8422_2325, |h, hit| {
+        (h ^ u64::from(hit)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The full-stats gate: every golden row must reproduce *every*
+/// `CacheStats` counter (hits, bypasses, fills, evictions, writebacks,
+/// predictions, dead predictions, false positives) and the per-access hit
+/// map bit for bit. The miss-count gate above cannot see a change that
+/// trades a hit for a bypass or drops a writeback; this one can.
+#[test]
+fn every_golden_row_reproduces_its_full_stats_and_hit_map() {
+    let rows: Vec<Vec<&str>> = FULL_FIXTURE
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|line| line.split('\t').collect())
+        .collect();
+    assert_eq!(rows.len(), 60, "fixture shape changed — regenerate deliberately");
+
+    let mut recordings: BTreeMap<(String, u64), RecordedWorkload> = BTreeMap::new();
+    let registry = standard();
+    let mut failures = Vec::new();
+    for f in &rows {
+        assert_eq!(f.len(), 16, "malformed full-stats line: {f:?}");
+        let num = |i: usize| -> u64 { f[i].parse().expect("numeric field") };
+        let instructions = num(1);
+        let w = recordings.entry((f[0].to_owned(), instructions)).or_insert_with(|| {
+            let bench = sdbp_suite::workloads::benchmark(f[0]).expect("workload in suite");
+            record(bench.name, bench.trace(), instructions)
+        });
+        let llc = CacheConfig::new(num(2) as usize, num(3) as usize);
+        let policy = registry
+            .build_str(f[4], llc, 1)
+            .unwrap_or_else(|e| panic!("golden spec {:?} must build: {e}", f[4]));
+        let r = replay(&w.llc, &mut Cache::with_policy(llc, policy));
+        let s = &r.stats;
+        let got = [
+            s.accesses,
+            s.hits,
+            s.misses,
+            s.bypasses,
+            s.fills,
+            s.evictions,
+            s.writebacks,
+            s.predictions,
+            s.predictions_dead,
+            s.false_positives,
+        ];
+        let want: Vec<u64> = (5..15).map(num).collect();
+        let digest = format!("{:016x}", hit_digest(&r.hits));
+        if got[..] != want[..] || digest != f[15] {
+            failures.push(format!(
+                "{} {}x{} {}: expected {want:?} / {}, got {got:?} / {digest}",
+                f[0], f[2], f[3], f[4], f[15]
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "full-stats drift:\n{}", failures.join("\n"));
+}
