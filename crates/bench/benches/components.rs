@@ -9,7 +9,7 @@ use sdbp::sampler::Sampler;
 use sdbp::tables::SkewedTables;
 use sdbp_bench::bench_workload;
 use sdbp_cache::lru::LruArray;
-use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_cpu::CoreModel;
 use sdbp_trace::kernel::KernelSpec;
@@ -20,9 +20,9 @@ const N: u64 = 100_000;
 
 fn cache_access_throughput(c: &mut Criterion) {
     let mut rng = Rng64::seed_from_u64(1);
-    let accesses: Vec<Access> = (0..N)
+    let accesses: Vec<LlcAccess> = (0..N)
         .map(|_| {
-            Access::demand(
+            LlcAccess::demand(
                 Pc::new(rng.gen_range(0u64..256) * 4),
                 BlockAddr::new(rng.gen_range(0u64..100_000)),
                 AccessKind::Read,

@@ -1,11 +1,26 @@
-//! The policy-driven set-associative cache used to model the LLC.
+//! The policy-driven set-associative cache used to model the LLC, and the
+//! one replay loop every replay entry point drives.
+//!
+//! Set storage is data-first: each set is a row of `u64` block keys with
+//! [`INVALID`] marking an empty frame, plus one dirty bit per frame in a
+//! packed bitset. Tag match and first-invalid search are compare masks
+//! over the row (no early exit on the data), and the policy is reached
+//! through a loop monomorphized for its concrete type — see DESIGN.md §10.
 
 use crate::config::CacheConfig;
 use crate::efficiency::EfficiencyTracker;
-use crate::policy::{Access, LineState, Lru, ReplacementPolicy, Victim};
+use crate::meta::HitMap;
+use crate::policy::{Lru, Policy, ReplacementPolicy, Victim};
+use crate::recorder::LlcAccess;
+use crate::replay::ReplayProbe;
 use crate::stats::CacheStats;
 use sdbp_trace::BlockAddr;
 use std::fmt;
+
+/// Key of an empty frame. Block numbers are byte addresses shifted right
+/// by the block offset (plus a core tag far below bit 63), so no block
+/// ever has this key.
+pub const INVALID: u64 = u64::MAX;
 
 /// Result of presenting one access to a [`Cache`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -33,114 +48,95 @@ impl AccessOutcome {
     }
 }
 
-/// A set-associative, write-back cache whose replacement and bypass
-/// behaviour is delegated to a [`ReplacementPolicy`].
-///
-/// This models the last-level cache in experiments; the fixed upper levels
-/// use the leaner [`crate::lru::LruArray`]. See the
-/// [crate docs](crate) for a usage example.
-pub struct Cache {
+/// Bit `i` of the result is set when `lanes[i] == key` (`lanes` holds at
+/// most 64 keys). Every lane is compared; nothing branches on the data.
+#[inline(always)]
+fn lane_mask(lanes: &[u64], key: u64) -> u64 {
+    lanes
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &lane)| mask | (u64::from(lane == key) << i))
+}
+
+/// The lowest way of `row` holding `key`.
+#[inline(always)]
+fn find_way(row: &[u64], key: u64) -> Option<usize> {
+    // The paper's 16-way LLC gets a fixed-width compare the optimizer
+    // unrolls; other associativities scan 64 lanes at a time.
+    if let Ok(row16) = <&[u64; 16]>::try_from(row) {
+        let mask = lane_mask(row16, key);
+        return (mask != 0).then(|| mask.trailing_zeros() as usize);
+    }
+    row.chunks(64).enumerate().find_map(|(chunk, lanes)| {
+        let mask = lane_mask(lanes, key);
+        (mask != 0).then(|| chunk * 64 + mask.trailing_zeros() as usize)
+    })
+}
+
+/// Everything a cache holds apart from its policy: the tag rows, the
+/// dirty bitset, the counters, and optional efficiency accounting.
+#[derive(Clone, Debug)]
+pub(crate) struct Frames {
     config: CacheConfig,
-    lines: Vec<LineState>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// `sets × ways` block keys, [`INVALID`] for an empty frame.
+    tags: Vec<u64>,
+    /// One dirty bit per frame, frame `line` at bit `line % 64` of word
+    /// `line / 64`.
+    dirty: Vec<u64>,
     stats: CacheStats,
     efficiency: Option<EfficiencyTracker>,
     now: u64,
 }
 
-impl fmt::Debug for Cache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Cache")
-            .field("config", &self.config)
-            .field("policy", &self.policy.name())
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Cache {
-    /// Creates a cache with the built-in true-LRU policy.
-    pub fn new(config: CacheConfig) -> Self {
-        let lru = Lru::new(config.sets, config.ways);
-        Self::with_policy(config, Box::new(lru))
-    }
-
-    /// Creates a cache driven by an arbitrary policy.
-    pub fn with_policy(config: CacheConfig, policy: Box<dyn ReplacementPolicy>) -> Self {
-        Cache {
+impl Frames {
+    fn new(config: CacheConfig) -> Self {
+        Frames {
             config,
-            lines: vec![
-                LineState { valid: false, block: BlockAddr::new(0), dirty: false };
-                config.lines()
-            ],
-            policy,
+            tags: vec![INVALID; config.lines()],
+            dirty: vec![0; config.lines().div_ceil(64)],
             stats: CacheStats::default(),
             efficiency: None,
             now: 0,
         }
     }
 
-    /// Enables live/dead-time accounting (costs one pass of bookkeeping per
-    /// access; used for the paper's Figure 1).
-    pub fn track_efficiency(&mut self) {
-        self.efficiency = Some(EfficiencyTracker::new(self.config));
+    fn row(&self, set: usize) -> &[u64] {
+        let ways = self.config.ways;
+        &self.tags[set * ways..(set + 1) * ways]
     }
 
-    /// The cache's geometry.
-    pub const fn config(&self) -> CacheConfig {
-        self.config
+    /// Sets frame `line`'s dirty bit to `dirty` and returns its old value.
+    #[inline(always)]
+    fn swap_dirty(&mut self, line: usize, dirty: bool) -> bool {
+        let word = &mut self.dirty[line / 64];
+        let bit = 1u64 << (line % 64);
+        let was = *word & bit != 0;
+        *word = (*word & !bit) | (u64::from(dirty) << (line % 64));
+        was
     }
 
-    /// Accumulated counters (predictor counters are exported on read).
-    pub fn stats(&self) -> CacheStats {
-        let mut stats = self.stats.clone();
-        self.policy.export_stats(&mut stats);
-        stats
-    }
-
-    /// The efficiency tracker, if [`Cache::track_efficiency`] was called.
-    pub fn efficiency(&self) -> Option<&EfficiencyTracker> {
-        self.efficiency.as_ref()
-    }
-
-    /// The driving policy (downcast via
-    /// [`ReplacementPolicy::as_any`] for policy-specific state).
-    pub fn policy(&self) -> &dyn ReplacementPolicy {
-        &*self.policy
-    }
-
-    /// Set index for a block in this cache.
-    pub fn set_of(&self, block: BlockAddr) -> usize {
-        block.set_index(self.config.sets)
-    }
-
-    /// Whether `block` is currently resident.
-    pub fn contains(&self, block: BlockAddr) -> bool {
-        self.find(block).is_some()
-    }
-
-    fn find(&self, block: BlockAddr) -> Option<usize> {
-        let set = self.set_of(block);
-        let base = set * self.config.ways;
-        self.lines[base..base + self.config.ways]
-            .iter()
-            .position(|l| l.valid && l.block == block)
-    }
-
-    /// Presents one access; performs lookup, policy callbacks, fill or
-    /// bypass, and all statistics updates.
-    pub fn access(&mut self, access: &Access) -> AccessOutcome {
+    /// Presents one access: lookup, policy callbacks, fill or bypass, and
+    /// every counter update.
+    #[inline(always)]
+    fn access<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        a: &LlcAccess,
+    ) -> AccessOutcome {
+        let key = a.block.raw();
+        debug_assert_ne!(key, INVALID, "block {:#x} collides with the empty-frame key", key);
         self.now += 1;
         self.stats.accesses += 1;
-        let set = self.set_of(access.block);
-        let base = set * self.config.ways;
+        let ways = self.config.ways;
+        let set = a.block.set_index(self.config.sets);
+        let base = set * ways;
+        let write = a.kind.is_write();
 
-        if let Some(way) = self.find(access.block) {
+        if let Some(way) = find_way(self.row(set), key) {
             self.stats.hits += 1;
-            if access.kind.is_write() {
-                self.lines[base + way].dirty = true;
-            }
-            self.policy.on_hit(set, way, access);
+            let line = base + way;
+            self.dirty[line / 64] |= u64::from(write) << (line % 64);
+            policy.on_hit(set, way, a);
             if let Some(eff) = &mut self.efficiency {
                 eff.on_hit(set, way, self.now);
             }
@@ -148,42 +144,37 @@ impl Cache {
         }
 
         self.stats.misses += 1;
-        self.policy.on_miss(set, access);
-        let set_lines = &self.lines[base..base + self.config.ways];
-        match self.policy.choose_victim(set, set_lines, access) {
+        policy.on_miss(set, a);
+        let invalid = find_way(self.row(set), INVALID);
+        match policy.choose_victim(set, invalid, a) {
             Victim::Bypass => {
                 self.stats.bypasses += 1;
-                self.policy.on_bypass(set, access);
+                policy.on_bypass(set, a);
                 AccessOutcome::Bypassed
             }
             Victim::Way(way) => {
                 assert!(
-                    way < self.config.ways,
-                    "policy {} chose way {way} in a {}-way cache",
-                    self.policy.name(),
-                    self.config.ways
+                    way < ways,
+                    "policy {} chose way {way} in a {ways}-way cache",
+                    policy.name()
                 );
-                let line = self.lines[base + way];
-                let evicted = if line.valid {
+                let line = base + way;
+                let old = std::mem::replace(&mut self.tags[line], key);
+                let was_dirty = self.swap_dirty(line, write);
+                let evicted = if old != INVALID {
+                    let victim = BlockAddr::new(old);
                     self.stats.evictions += 1;
-                    if line.dirty {
-                        self.stats.writebacks += 1;
-                    }
-                    self.policy.on_evict(set, way, line.block, access);
+                    self.stats.writebacks += u64::from(was_dirty);
+                    policy.on_evict(set, way, victim, a);
                     if let Some(eff) = &mut self.efficiency {
                         eff.on_evict(set, way, self.now);
                     }
-                    Some(line.block)
+                    Some(victim)
                 } else {
                     None
                 };
-                self.lines[base + way] = LineState {
-                    valid: true,
-                    block: access.block,
-                    dirty: access.kind.is_write(),
-                };
                 self.stats.fills += 1;
-                self.policy.on_fill(set, way, access);
+                policy.on_fill(set, way, a);
                 if let Some(eff) = &mut self.efficiency {
                     eff.on_fill(set, way, self.now);
                 }
@@ -192,17 +183,170 @@ impl Cache {
         }
     }
 
+    /// Presents every access of `stream` in order, handing each outcome to
+    /// `each` with its index in `stream`.
+    #[inline(always)]
+    fn drive<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        stream: &[LlcAccess],
+        mut each: impl FnMut(usize, &LlcAccess, bool),
+    ) {
+        for (i, a) in stream.iter().enumerate() {
+            let hit = self.access(policy, a).is_hit();
+            each(i, a, hit);
+        }
+    }
+}
+
+/// A policy's monomorphized view of the cache: one implementation per
+/// concrete policy type, so [`Cache::run`] pays one virtual call per
+/// stream and none per access.
+pub(crate) trait Driver {
+    fn access(&mut self, frames: &mut Frames, a: &LlcAccess) -> AccessOutcome;
+
+    fn run(
+        &mut self,
+        frames: &mut Frames,
+        stream: &[LlcAccess],
+        hits: Option<&mut HitMap>,
+        probe: Option<&mut dyn ReplayProbe>,
+    );
+
+    fn policy(&self) -> &dyn ReplacementPolicy;
+}
+
+impl<P: ReplacementPolicy> Driver for P {
+    fn access(&mut self, frames: &mut Frames, a: &LlcAccess) -> AccessOutcome {
+        frames.access(self, a)
+    }
+
+    fn run(
+        &mut self,
+        frames: &mut Frames,
+        stream: &[LlcAccess],
+        hits: Option<&mut HitMap>,
+        probe: Option<&mut dyn ReplayProbe>,
+    ) {
+        match (hits, probe) {
+            (Some(hits), None) => frames.drive(self, stream, |_, _, hit| hits.push(hit)),
+            (Some(hits), Some(probe)) => frames.drive(self, stream, |i, a, hit| {
+                probe.on_access_detail(i, a, hit);
+                hits.push(hit);
+            }),
+            (None, Some(probe)) => {
+                frames.drive(self, stream, |i, a, hit| probe.on_access_detail(i, a, hit));
+            }
+            (None, None) => frames.drive(self, stream, |_, _, _| {}),
+        }
+    }
+
+    fn policy(&self) -> &dyn ReplacementPolicy {
+        self
+    }
+}
+
+/// A set-associative, write-back cache whose replacement and bypass
+/// behaviour is delegated to a [`ReplacementPolicy`].
+///
+/// This models the last-level cache in experiments; the fixed upper levels
+/// use the leaner [`crate::lru::LruArray`]. See the
+/// [crate docs](crate) for a usage example.
+pub struct Cache {
+    frames: Frames,
+    policy: Policy,
+}
+
+impl fmt::Debug for Cache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cache")
+            .field("config", &self.frames.config)
+            .field("policy", &self.policy.name())
+            .field("stats", &self.frames.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Cache {
+    /// Creates a cache with the built-in true-LRU policy.
+    pub fn new(config: CacheConfig) -> Self {
+        Self::with_policy(config, Policy::new(Lru::new(config.sets, config.ways)))
+    }
+
+    /// Creates a cache driven by `policy` — a [`Policy`] (statically
+    /// dispatched inside the replay loop) or any boxed policy.
+    pub fn with_policy(config: CacheConfig, policy: impl Into<Policy>) -> Self {
+        Cache { frames: Frames::new(config), policy: policy.into() }
+    }
+
+    /// Enables live/dead-time accounting (costs one pass of bookkeeping per
+    /// access; used for the paper's Figure 1).
+    pub fn track_efficiency(&mut self) {
+        self.frames.efficiency = Some(EfficiencyTracker::new(self.frames.config));
+    }
+
+    /// The cache's geometry.
+    pub const fn config(&self) -> CacheConfig {
+        self.frames.config
+    }
+
+    /// Accumulated counters (predictor counters are exported on read).
+    pub fn stats(&self) -> CacheStats {
+        let mut stats = self.frames.stats.clone();
+        self.policy().export_stats(&mut stats);
+        stats
+    }
+
+    /// The efficiency tracker, if [`Cache::track_efficiency`] was called.
+    pub fn efficiency(&self) -> Option<&EfficiencyTracker> {
+        self.frames.efficiency.as_ref()
+    }
+
+    /// The driving policy (downcast via
+    /// [`ReplacementPolicy::as_any`] for policy-specific state).
+    pub fn policy(&self) -> &dyn ReplacementPolicy {
+        self.policy.get()
+    }
+
+    /// Set index for a block in this cache.
+    pub fn set_of(&self, block: BlockAddr) -> usize {
+        block.set_index(self.frames.config.sets)
+    }
+
+    /// Whether `block` is currently resident.
+    pub fn contains(&self, block: BlockAddr) -> bool {
+        block.raw() != INVALID && find_way(self.frames.row(self.set_of(block)), block.raw()).is_some()
+    }
+
+    /// Presents one access; performs lookup, policy callbacks, fill or
+    /// bypass, and all statistics updates.
+    pub fn access(&mut self, access: &LlcAccess) -> AccessOutcome {
+        self.policy.0.access(&mut self.frames, access)
+    }
+
+    /// The replay loop: presents every access of `stream` in order,
+    /// appending each outcome to `hits` and reporting it to `probe` (with
+    /// its index in `stream`). Every replay entry point —
+    /// [`replay`](crate::replay::replay), sampled segments, shard queues —
+    /// is this call.
+    pub fn run(
+        &mut self,
+        stream: &[LlcAccess],
+        hits: Option<&mut HitMap>,
+        probe: Option<&mut dyn ReplayProbe>,
+    ) {
+        self.policy.0.run(&mut self.frames, stream, hits, probe);
+    }
+
     /// Flushes residency bookkeeping at the end of a run so that
     /// still-resident blocks contribute their in-cache time to the
     /// efficiency accounting.
     pub fn finish(&mut self) {
-        let now = self.now;
-        if let Some(eff) = &mut self.efficiency {
-            for set in 0..self.config.sets {
-                for way in 0..self.config.ways {
-                    if self.lines[set * self.config.ways + way].valid {
-                        eff.on_evict(set, way, now);
-                    }
+        let Frames { tags, efficiency, now, config, .. } = &mut self.frames;
+        if let Some(eff) = efficiency {
+            for (line, &tag) in tags.iter().enumerate() {
+                if tag != INVALID {
+                    eff.on_evict(line / config.ways, line % config.ways, *now);
                 }
             }
         }
@@ -214,17 +358,35 @@ mod tests {
     use super::*;
     use sdbp_trace::{AccessKind, Pc};
 
-    fn acc(block: u64) -> Access {
-        Access::demand(Pc::new(0x400), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(0x400), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
-    fn wacc(block: u64) -> Access {
-        Access::demand(Pc::new(0x400), BlockAddr::new(block), AccessKind::Write, 0)
+    fn wacc(block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(0x400), BlockAddr::new(block), AccessKind::Write, 0)
     }
 
     fn tiny() -> Cache {
         // 2 sets, 2 ways.
         Cache::new(CacheConfig::new(2, 2))
+    }
+
+    #[test]
+    fn lane_masks_find_the_lowest_matching_way() {
+        let row = [7, INVALID, 7, 3];
+        assert_eq!(find_way(&row, 7), Some(0));
+        assert_eq!(find_way(&row, INVALID), Some(1));
+        assert_eq!(find_way(&row, 3), Some(3));
+        assert_eq!(find_way(&row, 9), None);
+        let mut row16 = [INVALID; 16];
+        row16[11] = 5;
+        assert_eq!(find_way(&row16, 5), Some(11));
+        assert_eq!(find_way(&row16, INVALID), Some(0));
+        // Rows wider than one 64-lane mask scan chunk by chunk.
+        let mut wide = vec![1u64; 130];
+        wide[129] = 2;
+        assert_eq!(find_way(&wide, 2), Some(129));
+        assert_eq!(find_way(&wide, 1), Some(0));
     }
 
     #[test]
@@ -249,6 +411,7 @@ mod tests {
         }
         assert!(c.contains(BlockAddr::new(0)));
         assert!(!c.contains(BlockAddr::new(2)));
+        assert!(!c.contains(BlockAddr::new(INVALID)));
     }
 
     #[test]
@@ -259,6 +422,8 @@ mod tests {
         c.access(&acc(4)); // evicts dirty block 0
         assert_eq!(c.stats().writebacks, 1);
         assert_eq!(c.stats().evictions, 1);
+        c.access(&acc(6)); // evicts clean block 2
+        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
@@ -268,6 +433,15 @@ mod tests {
         c.access(&wacc(0)); // dirty via hit
         c.access(&acc(2));
         c.access(&acc(4)); // evicts LRU (block 0, dirty)
+        assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn refilled_frame_starts_clean() {
+        let mut c = Cache::new(CacheConfig::new(1, 1));
+        c.access(&wacc(0));
+        c.access(&acc(1)); // evicts dirty 0; frame now holds clean 1
+        c.access(&acc(2)); // evicts clean 1
         assert_eq!(c.stats().writebacks, 1);
     }
 
@@ -288,11 +462,11 @@ mod tests {
             fn name(&self) -> std::borrow::Cow<'static, str> {
                 "bypass".into()
             }
-            fn on_hit(&mut self, _: usize, _: usize, _: &Access) {}
-            fn choose_victim(&mut self, _: usize, _: &[LineState], _: &Access) -> Victim {
+            fn on_hit(&mut self, _: usize, _: usize, _: &LlcAccess) {}
+            fn choose_victim(&mut self, _: usize, _: Option<usize>, _: &LlcAccess) -> Victim {
                 Victim::Bypass
             }
-            fn on_fill(&mut self, _: usize, _: usize, _: &Access) {}
+            fn on_fill(&mut self, _: usize, _: usize, _: &LlcAccess) {}
             fn as_any(&self) -> &dyn std::any::Any {
                 self
             }
@@ -305,6 +479,19 @@ mod tests {
         assert_eq!(s.bypasses, 10);
         assert_eq!(s.fills, 0);
         assert_eq!(s.misses, 10);
+    }
+
+    #[test]
+    fn run_matches_access_by_access() {
+        let stream: Vec<LlcAccess> =
+            (0..500u64).map(|i| if i % 3 == 0 { wacc(i % 37) } else { acc(i * 7 % 53) }).collect();
+        let mut stepped = Cache::new(CacheConfig::new(4, 3));
+        let expected: HitMap = stream.iter().map(|a| stepped.access(a).is_hit()).collect();
+        let mut run = Cache::new(CacheConfig::new(4, 3));
+        let mut hits = HitMap::new();
+        run.run(&stream, Some(&mut hits), None);
+        assert_eq!(hits, expected);
+        assert_eq!(run.stats(), stepped.stats());
     }
 
     #[test]

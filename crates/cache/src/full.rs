@@ -17,7 +17,7 @@
 use crate::cache::{AccessOutcome, Cache};
 use crate::hierarchy::ServiceLevel;
 use crate::lru::LruArray;
-use crate::policy::Access;
+use crate::recorder::LlcAccess;
 use crate::CacheConfig;
 use sdbp_trace::{AccessKind, BlockAddr, Instr, Pc};
 
@@ -117,7 +117,7 @@ impl FullHierarchy {
     }
 
     fn llc_access(&mut self, pc: Pc, block: BlockAddr, kind: AccessKind) -> AccessOutcome {
-        let outcome = self.llc.access(&Access::demand(pc, block, kind, 0));
+        let outcome = self.llc.access(&LlcAccess::demand(pc, block, kind, 0));
         if let AccessOutcome::Filled { evicted: Some(victim) } = outcome {
             self.back_invalidate(victim);
         }

@@ -1,4 +1,4 @@
-//! The set-sharded, batched replay kernel: the shared engine behind every
+//! The set-sharded replay kernel: the shared engine behind every
 //! replay caller that wants one trace to scale across cores.
 //!
 //! Replay of a set-associative cache decomposes by **set**: for a
@@ -14,13 +14,8 @@
 //! any [`ReplayProbe`] driven in original access order, so window probes
 //! observe precisely the serial sequence.
 //!
-//! Within one shard, [`replay_shard`] additionally processes the stream
-//! in fixed-size chunks grouped by set (a stable counting sort), so each
-//! `MetaPlane` row stays hot in L1 while its queued accesses drain. The
-//! grouping preserves per-set access order, which is all a set-local
-//! policy can observe, so the batched loop is bit-identical to the naive
-//! per-access loop — pinned by this module's tests and the workspace
-//! golden fixture.
+//! Within one shard, [`replay_shard`] drives the shard's queue through
+//! the same replay loop as a serial replay ([`Cache::run`]).
 //!
 //! **What may be sharded.** Policies with global state — a shared RNG
 //! draw sequence (`random`), set-dueling PSEL counters over leader sets
@@ -39,15 +34,9 @@
 
 use crate::cache::Cache;
 use crate::meta::HitMap;
-use crate::policy::Access;
 use crate::recorder::LlcAccess;
 use crate::replay::{ReplayProbe, ReplayResult};
 use crate::stats::CacheStats;
-
-/// Accesses per batched-decode chunk: large enough to amortize the
-/// grouping pass, small enough that a chunk's outcome buffer stays in
-/// cache.
-const CHUNK: usize = 4096;
 
 /// A partition of the set index space into contiguous, disjoint ranges,
 /// one per shard.
@@ -206,55 +195,14 @@ pub fn shard_queue(stream: &[LlcAccess], plan: &ShardPlan, shard: usize) -> Vec<
         .collect()
 }
 
-/// Replays one shard's queue against its own cache with the batched,
-/// set-grouped hot loop, returning the shard's counters and outcomes.
-///
-/// The loop decodes `queue` in chunks of [`CHUNK`] accesses, groups each
-/// chunk by set with a stable counting sort, and drains one set's
-/// accesses back to back so the policy's `MetaPlane` row stays hot in
-/// L1. Per-set access order is preserved, so for a set-local policy the
-/// outcomes are bit-identical to the naive per-access loop.
+/// Replays one shard's queue against its own cache through the one
+/// replay loop ([`Cache::run`]), returning the shard's counters and
+/// outcomes. The queue preserves per-set stream order, so for a set-local
+/// policy the outcomes are exactly the serial replay's outcomes for those
+/// accesses.
 pub fn replay_shard(queue: &[LlcAccess], cache: &mut Cache) -> ShardResult {
-    let sets = cache.config().sets;
     let mut hits = HitMap::with_capacity(queue.len());
-    // Scratch buffers reused across chunks: counting-sort slots per set,
-    // the grouped execution order, and chunk-local outcomes.
-    let mut slots: Vec<usize> = vec![0; sets];
-    let mut order: Vec<usize> = vec![0; CHUNK];
-    let mut outcomes: Vec<bool> = vec![false; CHUNK];
-    for chunk in queue.chunks(CHUNK) {
-        for slot in slots.iter_mut() {
-            *slot = 0;
-        }
-        for a in chunk {
-            if let Some(slot) = slots.get_mut(a.block.set_index(sets)) {
-                *slot += 1;
-            }
-        }
-        let mut start = 0usize;
-        for slot in slots.iter_mut() {
-            let count = *slot;
-            *slot = start;
-            start += count;
-        }
-        for (i, a) in chunk.iter().enumerate() {
-            if let Some(slot) = slots.get_mut(a.block.set_index(sets)) {
-                if let Some(pos) = order.get_mut(*slot) {
-                    *pos = i;
-                }
-                *slot += 1;
-            }
-        }
-        for &i in order.iter().take(chunk.len()) {
-            if let (Some(a), Some(out)) = (chunk.get(i), outcomes.get_mut(i)) {
-                let access = Access::demand(a.pc, a.block, a.kind, a.core);
-                *out = cache.access(&access).is_hit();
-            }
-        }
-        for &hit in outcomes.iter().take(chunk.len()) {
-            hits.push(hit);
-        }
-    }
+    cache.run(queue, Some(&mut hits), None);
     cache.finish();
     ShardResult { stats: cache.stats(), hits }
 }
@@ -442,13 +390,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_single_shard_matches_naive_replay() {
+    fn single_shard_matches_serial_replay() {
         let w = workload();
         let config = CacheConfig::new(64, 8);
         let naive = replay(&w.llc, &mut Cache::new(config));
-        let batched = replay_shard(&w.llc, &mut Cache::new(config));
-        assert_eq!(batched.stats, naive.stats);
-        assert_eq!(batched.hits, naive.hits);
+        let shard = replay_shard(&w.llc, &mut Cache::new(config));
+        assert_eq!(shard.stats, naive.stats);
+        assert_eq!(shard.hits, naive.hits);
     }
 
     #[test]

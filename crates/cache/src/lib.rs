@@ -25,13 +25,12 @@
 //! # Example
 //!
 //! ```
-//! use sdbp_cache::{Cache, CacheConfig};
-//! use sdbp_cache::policy::Access;
+//! use sdbp_cache::{Cache, CacheConfig, LlcAccess};
 //! use sdbp_trace::{AccessKind, BlockAddr, Pc};
 //!
 //! // A 2 MB, 16-way LLC with the built-in true-LRU policy.
 //! let mut llc = Cache::new(CacheConfig::llc_2mb());
-//! let a = Access::demand(Pc::new(0x400), BlockAddr::new(42), AccessKind::Read, 0);
+//! let a = LlcAccess::demand(Pc::new(0x400), BlockAddr::new(42), AccessKind::Read, 0);
 //! assert!(!llc.access(&a).is_hit()); // cold miss
 //! assert!(llc.access(&a).is_hit()); // now resident
 //! ```
@@ -60,7 +59,7 @@ pub use kernel::{
     ShardResult, ShardRunner, ThreadRunner,
 };
 pub use meta::{HitMap, MetaPlane};
-pub use policy::{Access, ReplacementPolicy, Victim};
+pub use policy::{Policy, ReplacementPolicy, Victim};
 pub use recorder::{record, InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
 pub use replay::{
     replay, replay_segment, replay_with_probe, Fingerprint, ReplayProbe, ReplayResult,

@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn agrees_with_policy_cache_on_random_stream() {
         use crate::cache::Cache;
-        use crate::policy::Access;
+        use crate::recorder::LlcAccess;
         use sdbp_trace::rng::Rng64;
         use sdbp_trace::{AccessKind, Pc};
 
@@ -208,7 +208,7 @@ mod tests {
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
             let fast_hit = fast.access(block, write).hit;
             let slow_hit =
-                slow.access(&Access::demand(Pc::new(0), block, kind, 0)).is_hit();
+                slow.access(&LlcAccess::demand(Pc::new(0), block, kind, 0)).is_hit();
             assert_eq!(fast_hit, slow_hit, "divergence at block {block}");
         }
     }

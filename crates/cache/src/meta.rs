@@ -168,14 +168,13 @@ impl HitMap {
     }
 
     /// Appends one outcome.
+    #[inline]
     pub fn push(&mut self, hit: bool) {
         if self.len.is_multiple_of(64) {
             self.words.push(0);
         }
-        if hit {
-            if let Some(word) = self.words.last_mut() {
-                *word |= 1u64 << (self.len % 64);
-            }
+        if let Some(word) = self.words.last_mut() {
+            *word |= u64::from(hit) << (self.len % 64);
         }
         self.len += 1;
     }

@@ -10,44 +10,19 @@
 //! Call order on a hit: `on_hit`. On a miss: `on_miss`, then
 //! `choose_victim`, then either (`on_evict` if the chosen way was valid,
 //! then `on_fill`) or `on_bypass`.
+//!
+//! A policy reaches a cache as a [`Policy`]: the policy value together
+//! with its own monomorphized replay loop. The concrete policy type is
+//! erased once, at the loop boundary, so every policy callback inside the
+//! loop is a static call (see DESIGN.md §10).
 
 use crate::meta::MetaPlane;
+use crate::recorder::LlcAccess;
 use crate::stats::CacheStats;
-use sdbp_trace::{AccessKind, BlockAddr, Pc};
+use sdbp_trace::BlockAddr;
 use std::any::Any;
 use std::borrow::Cow;
-
-/// One access presented to the LLC.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct Access {
-    /// PC of the memory instruction (for single-core runs) — dead block
-    /// predictors key on this.
-    pub pc: Pc,
-    /// The referenced block.
-    pub block: BlockAddr,
-    /// Read or write.
-    pub kind: AccessKind,
-    /// Issuing core (0 for single-core experiments).
-    pub core: u8,
-}
-
-impl Access {
-    /// Creates a demand access.
-    pub const fn demand(pc: Pc, block: BlockAddr, kind: AccessKind, core: u8) -> Self {
-        Access { pc, block, kind, core }
-    }
-}
-
-/// State of one block frame, exposed to policies during victim selection.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct LineState {
-    /// Whether the frame holds a block.
-    pub valid: bool,
-    /// The resident block (meaningless when `valid` is false).
-    pub block: BlockAddr,
-    /// Whether the resident block is dirty.
-    pub dirty: bool,
-}
+use std::fmt;
 
 /// A policy's answer to "which way should the incoming block replace?".
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -56,12 +31,6 @@ pub enum Victim {
     Way(usize),
     /// Do not place the incoming block at all.
     Bypass,
-}
-
-/// Returns the first invalid way, the conventional first choice of every
-/// non-bypassing policy.
-pub fn first_invalid(lines: &[LineState]) -> Option<usize> {
-    lines.iter().position(|l| !l.valid)
 }
 
 /// An LLC replacement (and optionally bypass) policy.
@@ -76,30 +45,30 @@ pub trait ReplacementPolicy {
     fn name(&self) -> Cow<'static, str>;
 
     /// The accessed block was found in `(set, way)`.
-    fn on_hit(&mut self, set: usize, way: usize, access: &Access);
+    fn on_hit(&mut self, set: usize, way: usize, access: &LlcAccess);
 
     /// The accessed block missed in `set`; called before victim selection.
-    fn on_miss(&mut self, set: usize, access: &Access) {
+    fn on_miss(&mut self, set: usize, access: &LlcAccess) {
         let _ = (set, access);
     }
 
     /// Chooses a victim frame for the incoming block, or declines placement.
     ///
-    /// `lines` describes the current contents of the set. Policies should
-    /// normally prefer an invalid way (see [`first_invalid`]).
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], access: &Access) -> Victim;
+    /// `invalid` is the set's lowest invalid way, if it has one. Policies
+    /// should normally fill it rather than evict.
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, access: &LlcAccess) -> Victim;
 
     /// The incoming block was placed in `(set, way)`.
-    fn on_fill(&mut self, set: usize, way: usize, access: &Access);
+    fn on_fill(&mut self, set: usize, way: usize, access: &LlcAccess);
 
     /// The valid block `victim` in `(set, way)` is being evicted to make
     /// room for `access`'s block.
-    fn on_evict(&mut self, set: usize, way: usize, victim: BlockAddr, access: &Access) {
+    fn on_evict(&mut self, set: usize, way: usize, victim: BlockAddr, access: &LlcAccess) {
         let _ = (set, way, victim, access);
     }
 
     /// The incoming block bypassed the cache.
-    fn on_bypass(&mut self, set: usize, access: &Access) {
+    fn on_bypass(&mut self, set: usize, access: &LlcAccess) {
         let _ = (set, access);
     }
 
@@ -110,31 +79,169 @@ pub trait ReplacementPolicy {
     }
 
     /// Downcasting support, so experiment code can reach policy-specific
-    /// state (e.g. predictor accuracy counters) behind `Box<dyn
-    /// ReplacementPolicy>`.
+    /// state (e.g. predictor accuracy counters) through
+    /// [`Cache::policy`](crate::Cache::policy).
     fn as_any(&self) -> &dyn Any;
+}
+
+/// Boxed policies forward every callback, so a `Box<dyn
+/// ReplacementPolicy>` (a custom policy chosen at run time) is itself a
+/// policy. Registry policies are never boxed this way: their callbacks are
+/// static calls.
+impl<T: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<T> {
+    fn name(&self) -> Cow<'static, str> {
+        (**self).name()
+    }
+
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize, access: &LlcAccess) {
+        (**self).on_hit(set, way, access);
+    }
+
+    #[inline]
+    fn on_miss(&mut self, set: usize, access: &LlcAccess) {
+        (**self).on_miss(set, access);
+    }
+
+    #[inline]
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, access: &LlcAccess) -> Victim {
+        (**self).choose_victim(set, invalid, access)
+    }
+
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize, access: &LlcAccess) {
+        (**self).on_fill(set, way, access);
+    }
+
+    #[inline]
+    fn on_evict(&mut self, set: usize, way: usize, victim: BlockAddr, access: &LlcAccess) {
+        (**self).on_evict(set, way, victim, access);
+    }
+
+    #[inline]
+    fn on_bypass(&mut self, set: usize, access: &LlcAccess) {
+        (**self).on_bypass(set, access);
+    }
+
+    fn export_stats(&self, stats: &mut CacheStats) {
+        (**self).export_stats(stats);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        (**self).as_any()
+    }
+}
+
+/// A policy ready to drive a [`Cache`](crate::Cache): the policy value
+/// plus the replay loop monomorphized for its concrete type.
+///
+/// Build one with [`Policy::new`] (static dispatch inside the loop), or
+/// convert a boxed policy with `From` — a `Box<dyn ReplacementPolicy>`
+/// keeps one virtual call per callback, the escape hatch for policies
+/// chosen at run time.
+///
+/// ```
+/// use sdbp_cache::policy::{Lru, Policy};
+/// use sdbp_cache::{Cache, CacheConfig};
+///
+/// let cfg = CacheConfig::new(64, 8);
+/// let policy = Policy::new(Lru::new(cfg.sets, cfg.ways));
+/// assert_eq!(policy.name(), "LRU");
+/// let cache = Cache::with_policy(cfg, policy);
+/// assert_eq!(cache.policy().name(), "LRU");
+/// ```
+pub struct Policy(pub(crate) Box<dyn crate::cache::Driver>);
+
+impl Policy {
+    /// Packages `policy` with its monomorphized replay loop.
+    pub fn new<P: ReplacementPolicy + 'static>(policy: P) -> Self {
+        Policy(Box::new(policy))
+    }
+
+    /// The policy's display name.
+    pub fn name(&self) -> Cow<'static, str> {
+        self.0.policy().name()
+    }
+
+    /// The policy itself (downcast via [`ReplacementPolicy::as_any`]).
+    pub fn get(&self) -> &dyn ReplacementPolicy {
+        self.0.policy()
+    }
+}
+
+impl fmt::Debug for Policy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Policy").field(&self.name()).finish()
+    }
+}
+
+impl<P: ReplacementPolicy + ?Sized + 'static> From<Box<P>> for Policy {
+    fn from(policy: Box<P>) -> Self {
+        Policy::new(policy)
+    }
+}
+
+/// Index of the smallest value, the lowest index among equals — the
+/// argmin every victim rule uses. See [`argmin_by`].
+///
+/// ```
+/// use sdbp_cache::policy::argmin;
+/// assert_eq!(argmin(&[5, 3, 9, 3]), 1);
+/// assert_eq!(argmin(&[u64::MAX, u64::MAX]), 0);
+/// ```
+#[inline]
+pub fn argmin(values: &[u64]) -> usize {
+    argmin_by(values.len(), |i| values[i])
+}
+
+/// Index in `0..len` of the smallest `key`, the lowest index among equals
+/// (0 when `len` is 0).
+///
+/// Nothing branches on the keys: each step turns its comparison into an
+/// all-ones/all-zeros mask and blends with it. (A plain `if`-select here
+/// is lowered to a mispredicting branch once the compiler sees the
+/// loop-carried chain.) The paper's 16-way rows reduce as a balanced tree,
+/// so the dependency chain is four merges deep instead of sixteen.
+#[inline]
+pub fn argmin_by(len: usize, key: impl Fn(usize) -> u64) -> usize {
+    /// Keeps `(v, i)` unless `(w, j)` is strictly smaller; `(v, i)` must
+    /// come from lower indices, so ties keep the lowest index.
+    #[inline(always)]
+    fn merge((v, i): (u64, usize), (w, j): (u64, usize)) -> (u64, usize) {
+        let take = u64::from(w < v).wrapping_neg();
+        (v ^ ((v ^ w) & take), i ^ ((i ^ j) & take as usize))
+    }
+    if len == 16 {
+        let mut level: [(u64, usize); 16] = std::array::from_fn(|i| (key(i), i));
+        let mut width = 16;
+        while width > 1 {
+            width /= 2;
+            for i in 0..width {
+                level[i] = merge(level[2 * i], level[2 * i + 1]);
+            }
+        }
+        return level[0].1;
+    }
+    (0..len).fold((u64::MAX, 0), |best, i| merge(best, (key(i), i))).1
 }
 
 /// True least-recently-used replacement.
 ///
 /// The paper's baseline for every single-thread experiment. Implemented
-/// with per-line 64-bit recency stamps (a per-set counter), which is exact
+/// with per-line 64-bit recency stamps (a global counter), which is exact
 /// and O(ways) per victim choice.
 ///
 /// ```
-/// use sdbp_cache::policy::{Access, LineState, Lru, ReplacementPolicy, Victim};
+/// use sdbp_cache::policy::{Lru, ReplacementPolicy, Victim};
+/// use sdbp_cache::recorder::LlcAccess;
 /// use sdbp_trace::{AccessKind, BlockAddr, Pc};
 ///
 /// let mut lru = Lru::new(1, 2);
-/// let a = Access::demand(Pc::new(0), BlockAddr::new(0), AccessKind::Read, 0);
+/// let a = LlcAccess::demand(Pc::new(0), BlockAddr::new(0), AccessKind::Read, 0);
 /// lru.on_fill(0, 0, &a);
 /// lru.on_fill(0, 1, &a);
 /// lru.on_hit(0, 0, &a); // way 1 is now least recent
-/// let lines = [
-///     LineState { valid: true, block: BlockAddr::new(1), dirty: false },
-///     LineState { valid: true, block: BlockAddr::new(2), dirty: false },
-/// ];
-/// assert_eq!(lru.choose_victim(0, &lines, &a), Victim::Way(1));
+/// assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(1));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Lru {
@@ -148,42 +255,21 @@ impl Lru {
         Lru { stamps: MetaPlane::new(sets, ways, 0), clock: 0 }
     }
 
+    #[inline]
     fn touch(&mut self, set: usize, way: usize) {
         self.clock += 1;
         self.stamps[(set, way)] = self.clock;
     }
 
-    /// The least recently used valid way of `set` (ignoring invalid ways).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines` contains no valid way.
-    pub fn lru_way(&self, set: usize, lines: &[LineState]) -> usize {
-        let stamps = self.stamps.row(set);
-        lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.valid)
-            .min_by_key(|&(w, _)| stamps[w])
-            .map(|(w, _)| w)
-            .expect("lru_way called on a set with no valid lines")
-    }
-
-    /// Recency rank of each way: 0 = MRU, `ways - 1` = LRU. Used by
-    /// policies that need the full LRU stack ordering (e.g. DIP's BIP
-    /// insertion, dead-block victim tie-breaking).
-    pub fn ranks(&self, set: usize) -> Vec<usize> {
-        let stamps = self.stamps.row(set);
-        let mut order: Vec<usize> = (0..stamps.len()).collect();
-        order.sort_by_key(|&w| std::cmp::Reverse(stamps[w]));
-        let mut ranks = vec![0; stamps.len()];
-        for (rank, &w) in order.iter().enumerate() {
-            ranks[w] = rank;
-        }
-        ranks
+    /// The least recently used way of a full `set`: the smallest stamp,
+    /// the lowest way among equal stamps.
+    #[inline]
+    pub fn lru_way(&self, set: usize) -> usize {
+        argmin(self.stamps.row(set))
     }
 
     /// Moves `(set, way)` to the MRU position.
+    #[inline]
     pub fn promote(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }
@@ -209,18 +295,18 @@ impl ReplacementPolicy for Lru {
         Cow::Borrowed("LRU")
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.touch(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.lru_way(set, lines)),
-        }
+    #[inline]
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, _access: &LlcAccess) -> Victim {
+        Victim::Way(invalid.unwrap_or_else(|| self.lru_way(set)))
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, _access: &Access) {
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.touch(set, way);
     }
 
@@ -232,31 +318,47 @@ impl ReplacementPolicy for Lru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdbp_trace::{AccessKind, Pc};
 
-    fn acc(block: u64) -> Access {
-        Access::demand(Pc::new(0x400), BlockAddr::new(block), AccessKind::Read, 0)
-    }
-
-    fn valid_lines(n: usize) -> Vec<LineState> {
-        (0..n)
-            .map(|i| LineState { valid: true, block: BlockAddr::new(i as u64), dirty: false })
-            .collect()
+    fn acc(block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(0x400), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     #[test]
-    fn first_invalid_finds_hole() {
-        let mut lines = valid_lines(4);
-        assert_eq!(first_invalid(&lines), None);
-        lines[2].valid = false;
-        assert_eq!(first_invalid(&lines), Some(2));
+    fn argmin_takes_the_lowest_index_among_ties() {
+        assert_eq!(argmin(&[4, 2, 2, 7]), 1);
+        assert_eq!(argmin(&[9]), 0);
+        assert_eq!(argmin(&[3, 3, 3]), 0);
+        assert_eq!(argmin(&[8, 7, 6, 5]), 3);
+        assert_eq!(argmin(&[]), 0);
+    }
+
+    #[test]
+    fn argmin_matches_min_by_key_at_every_width() {
+        // `Iterator::min_by_key` returns the first minimum: the reference
+        // for both the tree (16 lanes) and the linear path.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for len in 1..40 {
+            for _ in 0..200 {
+                let values: Vec<u64> = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        // Few distinct values, so ties are common.
+                        x % 5
+                    })
+                    .collect();
+                let want = (0..len).min_by_key(|&i| values[i]).unwrap();
+                assert_eq!(argmin(&values), want, "{values:?}");
+            }
+        }
     }
 
     #[test]
     fn lru_prefers_invalid_ways() {
         let mut lru = Lru::new(1, 4);
-        let mut lines = valid_lines(4);
-        lines[3].valid = false;
-        assert_eq!(lru.choose_victim(0, &lines, &acc(9)), Victim::Way(3));
+        assert_eq!(lru.choose_victim(0, Some(3), &acc(9)), Victim::Way(3));
     }
 
     #[test]
@@ -269,20 +371,7 @@ mod tests {
         lru.on_hit(0, 0, &a);
         lru.on_hit(0, 1, &a);
         // Way 2 is now the least recently touched.
-        assert_eq!(lru.choose_victim(0, &valid_lines(4), &a), Victim::Way(2));
-    }
-
-    #[test]
-    fn ranks_order_is_mru_first() {
-        let mut lru = Lru::new(1, 4);
-        let a = acc(0);
-        for w in 0..4 {
-            lru.on_fill(0, w, &a);
-        }
-        lru.on_hit(0, 1, &a); // 1 is MRU; 0 is LRU
-        let ranks = lru.ranks(0);
-        assert_eq!(ranks[1], 0);
-        assert_eq!(ranks[0], 3);
+        assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(2));
     }
 
     #[test]
@@ -293,7 +382,19 @@ mod tests {
             lru.on_fill(0, w, &a);
         }
         lru.demote_to_lru(0, 3);
-        assert_eq!(lru.choose_victim(0, &valid_lines(4), &a), Victim::Way(3));
+        assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(3));
+    }
+
+    #[test]
+    fn demoted_ties_resolve_to_the_lowest_way() {
+        // Two demotions against a fresh set both land on stamp 0: the
+        // victim is the lower of the tied ways.
+        let mut lru = Lru::new(1, 3);
+        let a = acc(0);
+        lru.on_fill(0, 0, &a);
+        lru.demote_to_lru(0, 2);
+        lru.demote_to_lru(0, 1);
+        assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(1));
     }
 
     #[test]
@@ -304,16 +405,15 @@ mod tests {
         lru.on_fill(0, 1, &a);
         lru.on_fill(1, 1, &a);
         lru.on_fill(1, 0, &a);
-        assert_eq!(lru.choose_victim(0, &valid_lines(2), &a), Victim::Way(0));
-        assert_eq!(lru.choose_victim(1, &valid_lines(2), &a), Victim::Way(1));
+        assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(0));
+        assert_eq!(lru.choose_victim(1, None, &a), Victim::Way(1));
     }
 
     #[test]
-    #[should_panic(expected = "no valid lines")]
-    fn lru_way_panics_on_empty_set() {
-        let lru = Lru::new(1, 2);
-        let lines =
-            [LineState { valid: false, block: BlockAddr::new(0), dirty: false }; 2];
-        let _ = lru.lru_way(0, &lines);
+    fn boxed_policies_forward_and_downcast() {
+        let boxed: Box<dyn ReplacementPolicy> = Box::new(Lru::new(1, 2));
+        let policy = Policy::from(boxed);
+        assert_eq!(policy.name(), "LRU");
+        assert!(policy.get().as_any().downcast_ref::<Lru>().is_some());
     }
 }

@@ -82,6 +82,14 @@ pub struct LlcAccess {
     pub instr: u32,
 }
 
+impl LlcAccess {
+    /// A demand access outside any recorded stream (instruction index 0),
+    /// for driving a cache by hand.
+    pub const fn demand(pc: Pc, block: BlockAddr, kind: AccessKind, core: u8) -> Self {
+        LlcAccess { pc, block, kind, core, instr: 0 }
+    }
+}
+
 /// A workload after the one-time recording pass.
 #[derive(Clone, Debug)]
 pub struct RecordedWorkload {

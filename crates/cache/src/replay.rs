@@ -5,7 +5,6 @@
 
 use crate::cache::Cache;
 use crate::meta::HitMap;
-use crate::policy::Access;
 use crate::recorder::LlcAccess;
 use crate::stats::CacheStats;
 
@@ -373,13 +372,12 @@ impl ReplayProbe for WindowFingerprint {
         // the miss-rate feature (and windowing) still advance. Callers
         // should drive this probe through `replay_with_probe`, which always
         // supplies the access.
-        let blank = LlcAccess {
-            pc: sdbp_trace::Pc::new(0),
-            block: sdbp_trace::BlockAddr::new(0),
-            kind: sdbp_trace::AccessKind::Read,
-            core: 0,
-            instr: 0,
-        };
+        let blank = LlcAccess::demand(
+            sdbp_trace::Pc::new(0),
+            sdbp_trace::BlockAddr::new(0),
+            sdbp_trace::AccessKind::Read,
+            0,
+        );
         self.on_access_detail(index, &blank, hit);
     }
 
@@ -425,10 +423,7 @@ impl ReplayProbe for WindowFingerprint {
 /// LLC would during execution.
 pub fn replay(stream: &[LlcAccess], cache: &mut Cache) -> ReplayResult {
     let mut hits = HitMap::with_capacity(stream.len());
-    for a in stream {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        hits.push(cache.access(&access).is_hit());
-    }
+    cache.run(stream, Some(&mut hits), None);
     cache.finish();
     ReplayResult { stats: cache.stats(), hits }
 }
@@ -440,12 +435,7 @@ pub fn replay_with_probe(
     probe: &mut dyn ReplayProbe,
 ) -> ReplayResult {
     let mut hits = HitMap::with_capacity(stream.len());
-    for (i, a) in stream.iter().enumerate() {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        let hit = cache.access(&access).is_hit();
-        probe.on_access_detail(i, a, hit);
-        hits.push(hit);
-    }
+    cache.run(stream, Some(&mut hits), Some(probe));
     cache.finish();
     ReplayResult { stats: cache.stats(), hits }
 }
@@ -505,15 +495,9 @@ pub fn replay_segment(
     }
     let warmup = stream.get(warmup_start..measure_start).ok_or(misfit)?;
     let measured = stream.get(measure_start..measure_end).ok_or(misfit)?;
-    for a in warmup {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        cache.access(&access);
-    }
+    cache.run(warmup, None, None);
     let mut hits = HitMap::with_capacity(measured.len());
-    for a in measured {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        hits.push(cache.access(&access).is_hit());
-    }
+    cache.run(measured, Some(&mut hits), None);
     cache.finish();
     Ok(hits)
 }

@@ -11,7 +11,6 @@
 //! sampling" estimators work).
 
 use crate::cache::Cache;
-use crate::policy::Access;
 use crate::recorder::LlcAccess;
 use crate::CacheConfig;
 
@@ -63,7 +62,7 @@ impl SetSampledEstimator {
         let shadow_sets = self.config.sets / self.stride;
         let tag = access.block.raw() >> self.config.sets.trailing_zeros();
         let shadow_block = (tag << shadow_sets.trailing_zeros()) | (set / self.stride) as u64;
-        let a = Access::demand(
+        let a = LlcAccess::demand(
             access.pc,
             sdbp_trace::BlockAddr::new(shadow_block),
             access.kind,

@@ -3,7 +3,7 @@
 
 use sdbp_cache::full::{FullHierarchy, FullHierarchyConfig, Inclusion};
 use sdbp_cache::lru::LruArray;
-use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_trace::rng::Rng64;
 use sdbp_trace::{AccessKind, Addr, BlockAddr, Instr, MemRef, Pc};
@@ -40,7 +40,7 @@ fn lean_and_policy_lru_agree() {
         let mut policy = Cache::new(cfg);
         for &(block, write) in &accesses {
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
-            let a = Access::demand(Pc::new(0), BlockAddr::new(block), kind, 0);
+            let a = LlcAccess::demand(Pc::new(0), BlockAddr::new(block), kind, 0);
             let lean_hit = lean.access(BlockAddr::new(block), write).hit;
             assert_eq!(lean_hit, policy.access(&a).is_hit());
         }
@@ -60,7 +60,7 @@ fn residency_is_bounded_by_capacity() {
         let cfg = CacheConfig::new(4, ways);
         let mut cache = Cache::new(cfg);
         for &b in &accesses {
-            cache.access(&Access::demand(Pc::new(0), BlockAddr::new(b), AccessKind::Read, 0));
+            cache.access(&LlcAccess::demand(Pc::new(0), BlockAddr::new(b), AccessKind::Read, 0));
             let resident =
                 (0u64..256).filter(|&x| cache.contains(BlockAddr::new(x))).count();
             assert!(resident <= cfg.lines());
@@ -133,7 +133,7 @@ fn efficiency_is_a_valid_ratio() {
         let mut cache = Cache::new(cfg);
         cache.track_efficiency();
         for &b in &blocks {
-            cache.access(&Access::demand(Pc::new(0), BlockAddr::new(b), AccessKind::Read, 0));
+            cache.access(&LlcAccess::demand(Pc::new(0), BlockAddr::new(b), AccessKind::Read, 0));
         }
         cache.finish();
         let overall = cache.efficiency().unwrap().overall();

@@ -1,12 +1,14 @@
 //! Ready-made policy constructors for the paper's experiment matrix.
 //!
-//! Each function returns a boxed [`ReplacementPolicy`] ready to drop into
+//! Each function returns a [`Policy`] ready to drop into
 //! [`sdbp_cache::Cache::with_policy`]. The names mirror Table V of the
-//! paper ("Sampler", "TDBP", "CDBP", "Random Sampler", ...).
+//! paper ("Sampler", "TDBP", "CDBP", "Random Sampler", ...). Every policy
+//! is one concrete type — DBRB over its base and predictor — so the replay
+//! loop calls its callbacks statically.
 
 use crate::config::SdbpConfig;
 use crate::predictor::SamplingPredictor;
-use sdbp_cache::policy::{Lru, ReplacementPolicy};
+use sdbp_cache::policy::{Lru, Policy};
 use sdbp_cache::CacheConfig;
 use sdbp_predictors::counting::Lvp;
 use sdbp_predictors::dbrb::{DbrbConfig, DeadBlockReplacement};
@@ -17,23 +19,23 @@ use sdbp_replacement::Random;
 /// experiments; fixed so runs are reproducible.
 const RANDOM_SEED: u64 = 0x5db9;
 
-fn lru(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(Lru::new(llc.sets, llc.ways))
+fn lru(llc: CacheConfig) -> Lru {
+    Lru::new(llc.sets, llc.ways)
 }
 
-fn random(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(Random::new(llc, RANDOM_SEED))
+fn random(llc: CacheConfig) -> Random {
+    Random::new(llc, RANDOM_SEED)
 }
 
 /// "Sampler": SDBP-driven dead block replacement and bypass over default
 /// LRU — the paper's headline configuration.
-pub fn sampler_lru(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
+pub fn sampler_lru(llc: CacheConfig) -> Policy {
     sampler_with_config(llc, SdbpConfig::paper())
 }
 
 /// "Random Sampler": SDBP over a default randomly-replaced cache.
-pub fn sampler_random(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(
+pub fn sampler_random(llc: CacheConfig) -> Policy {
+    Policy::new(DeadBlockReplacement::new(
         llc,
         random(llc),
         SamplingPredictor::paper(llc),
@@ -42,8 +44,8 @@ pub fn sampler_random(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
 }
 
 /// An SDBP variant (for the Figure 6 ablation and sweeps) over default LRU.
-pub fn sampler_with_config(llc: CacheConfig, config: SdbpConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(
+pub fn sampler_with_config(llc: CacheConfig, config: SdbpConfig) -> Policy {
+    Policy::new(DeadBlockReplacement::new(
         llc,
         lru(llc),
         SamplingPredictor::new(config, llc),
@@ -52,24 +54,24 @@ pub fn sampler_with_config(llc: CacheConfig, config: SdbpConfig) -> Box<dyn Repl
 }
 
 /// "TDBP": reftrace-driven dead block replacement and bypass, default LRU.
-pub fn tdbp(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(llc, lru(llc), RefTrace::new(llc), DbrbConfig::default()))
+pub fn tdbp(llc: CacheConfig) -> Policy {
+    Policy::new(DeadBlockReplacement::new(llc, lru(llc), RefTrace::new(llc), DbrbConfig::default()))
 }
 
 /// "CDBP": counting-predictor (LvP) DBRB, default LRU.
-pub fn cdbp(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(llc, lru(llc), Lvp::new(llc), DbrbConfig::default()))
+pub fn cdbp(llc: CacheConfig) -> Policy {
+    Policy::new(DeadBlockReplacement::new(llc, lru(llc), Lvp::new(llc), DbrbConfig::default()))
 }
 
 /// "Random CDBP": counting-predictor DBRB over default random replacement.
-pub fn cdbp_random(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(llc, random(llc), Lvp::new(llc), DbrbConfig::default()))
+pub fn cdbp_random(llc: CacheConfig) -> Policy {
+    Policy::new(DeadBlockReplacement::new(llc, random(llc), Lvp::new(llc), DbrbConfig::default()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdbp_cache::policy::Access;
+    use sdbp_cache::recorder::LlcAccess;
     use sdbp_cache::Cache;
     use sdbp_trace::{AccessKind, BlockAddr, Pc};
 
@@ -92,7 +94,7 @@ mod tests {
         let llc = CacheConfig::new(128, 4);
         let mut cache = Cache::with_policy(llc, sampler_lru(llc));
         for i in 0..20_000u64 {
-            let a = Access::demand(
+            let a = LlcAccess::demand(
                 Pc::new(0x400 + (i % 5) * 4),
                 BlockAddr::new(i % 1000),
                 AccessKind::Read,
@@ -113,7 +115,7 @@ mod tests {
         let llc = CacheConfig::new(128, 4);
         let mut cache = Cache::with_policy(llc, sampler_lru(llc));
         for i in 0..200_000u64 {
-            let a = Access::demand(Pc::new(0x400), BlockAddr::new(i), AccessKind::Read, 0);
+            let a = LlcAccess::demand(Pc::new(0x400), BlockAddr::new(i), AccessKind::Read, 0);
             cache.access(&a);
         }
         let s = cache.stats();

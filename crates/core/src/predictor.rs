@@ -11,7 +11,7 @@
 use crate::config::SdbpConfig;
 use crate::sampler::Sampler;
 use crate::tables::SkewedTables;
-use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{CacheConfig, MetaPlane};
 use sdbp_predictors::DeadBlockPredictor;
 use sdbp_trace::{BlockAddr, Pc};
@@ -67,12 +67,14 @@ impl SamplingPredictor {
         &self.tables
     }
 
+    #[inline]
     fn signature(&self, pc: Pc) -> u64 {
         (pc.raw() >> 2) & ((1 << self.pc_bits) - 1)
     }
 
     /// Feeds the sampler if this LLC set is sampled.
-    fn maybe_sample(&mut self, llc_set: usize, access: &Access) {
+    #[inline]
+    fn maybe_sample(&mut self, llc_set: usize, access: &LlcAccess) {
         if let Some(sampler) = &mut self.sampler {
             if let Some(ss) = sampler.sampler_set(llc_set) {
                 sampler.access(ss, access.block, access.pc, &mut self.tables);
@@ -90,7 +92,8 @@ impl DeadBlockPredictor for SamplingPredictor {
         }
     }
 
-    fn on_hit(&mut self, set: usize, line: usize, access: &Access) -> bool {
+    #[inline]
+    fn on_hit(&mut self, set: usize, line: usize, access: &LlcAccess) -> bool {
         self.maybe_sample(set, access);
         if self.sampler.is_none() {
             // PC-only mode: train live with the previous last-toucher.
@@ -101,18 +104,21 @@ impl DeadBlockPredictor for SamplingPredictor {
         self.tables.predict(self.signature(access.pc))
     }
 
-    fn on_miss(&mut self, set: usize, access: &Access) -> bool {
+    #[inline]
+    fn on_miss(&mut self, set: usize, access: &LlcAccess) -> bool {
         self.maybe_sample(set, access);
         self.tables.predict(self.signature(access.pc))
     }
 
-    fn on_fill(&mut self, _set: usize, line: usize, access: &Access) {
+    #[inline]
+    fn on_fill(&mut self, _set: usize, line: usize, access: &LlcAccess) {
         if self.sampler.is_none() {
             self.last_pc[line] = self.signature(access.pc) as u16;
         }
     }
 
-    fn on_evict(&mut self, _set: usize, line: usize, _victim: BlockAddr, _access: &Access) {
+    #[inline]
+    fn on_evict(&mut self, _set: usize, line: usize, _victim: BlockAddr, _access: &LlcAccess) {
         if self.sampler.is_none() {
             let prev = u64::from(self.last_pc[line]);
             self.tables.train_dead(prev);
@@ -130,8 +136,8 @@ mod tests {
         CacheConfig::new(128, 4)
     }
 
-    fn acc(pc: u64, block: u64) -> Access {
-        Access::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(pc: u64, block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::config::SdbpConfig;
 use crate::predictor::SamplingPredictor;
-use sdbp_cache::policy::Access;
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
 use sdbp_predictors::DeadBlockPredictor;
@@ -187,7 +186,6 @@ impl PrefetchSim {
     /// next-line prefetches on misses). Returns whether it hit.
     pub fn access(&mut self, a: &LlcAccess) -> bool {
         self.clock += 1;
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
         let set = a.block.set_index(self.config.sets);
         if let Some(i) = self.find(set, a.block.raw()) {
             let was_prefetched = self.frames[i].prefetched;
@@ -197,7 +195,7 @@ impl PrefetchSim {
             } else {
                 self.stats.hits += 1;
             }
-            let dead = self.predictor.on_hit(set, i, &access);
+            let dead = self.predictor.on_hit(set, i, a);
             self.frames[i].dead = dead;
             self.frames[i].stamp = self.clock;
             if was_prefetched {
@@ -213,13 +211,13 @@ impl PrefetchSim {
         // Dead-on-arrival fills are eligible prefetch landing frames
         // immediately (one-shot streams never get a second touch to be
         // marked dead later).
-        let dead_on_arrival = self.predictor.on_miss(set, &access);
+        let dead_on_arrival = self.predictor.on_miss(set, a);
         let idx = self.lru_frame(set);
         self.evict_bookkeeping(idx);
         if self.frames[idx].valid {
-            self.predictor.on_evict(set, idx, BlockAddr::new(self.frames[idx].block), &access);
+            self.predictor.on_evict(set, idx, BlockAddr::new(self.frames[idx].block), a);
         }
-        self.predictor.on_fill(set, idx, &access);
+        self.predictor.on_fill(set, idx, a);
         self.frames[idx] = Frame {
             valid: true,
             block: a.block.raw(),

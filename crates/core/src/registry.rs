@@ -17,7 +17,7 @@
 use crate::config::{SamplerConfig, SdbpConfig, TableConfig};
 use crate::policies;
 use crate::predictor::SamplingPredictor;
-use sdbp_cache::policy::{Lru, ReplacementPolicy};
+use sdbp_cache::policy::{Lru, Policy};
 use sdbp_cache::CacheConfig;
 use sdbp_predictors::counting::Aip;
 use sdbp_predictors::dbrb::{DbrbConfig, DeadBlockReplacement};
@@ -87,9 +87,9 @@ pub fn standard() -> Registry {
         shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
-            Ok(Box::new(DeadBlockReplacement::new(
+            Ok(Policy::new(DeadBlockReplacement::new(
                 llc,
-                Box::new(Lru::new(llc.sets, llc.ways)),
+                Lru::new(llc.sets, llc.ways),
                 RefTrace::with_mode(llc, BurstMode::Bursts),
                 DbrbConfig::default(),
             )))
@@ -102,9 +102,9 @@ pub fn standard() -> Registry {
         shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
-            Ok(Box::new(DeadBlockReplacement::new(
+            Ok(Policy::new(DeadBlockReplacement::new(
                 llc,
-                Box::new(Lru::new(llc.sets, llc.ways)),
+                Lru::new(llc.sets, llc.ways),
                 Aip::new(llc),
                 DbrbConfig::default(),
             )))
@@ -117,9 +117,9 @@ pub fn standard() -> Registry {
         shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
-            Ok(Box::new(DeadBlockReplacement::new(
+            Ok(Policy::new(DeadBlockReplacement::new(
                 llc,
-                Box::new(Srrip::new(llc)),
+                Srrip::new(llc),
                 SamplingPredictor::paper(llc),
                 DbrbConfig::default(),
             )))
@@ -348,7 +348,7 @@ impl PolicyKind {
     }
 
     /// Builds the policy for an LLC of geometry `llc` shared by `cores`.
-    pub fn build(&self, llc: CacheConfig, cores: usize) -> Box<dyn ReplacementPolicy> {
+    pub fn build(&self, llc: CacheConfig, cores: usize) -> Policy {
         standard()
             .build(&self.spec(), llc, cores)
             .expect("every PolicyKind spec is registered and valid")

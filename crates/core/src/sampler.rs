@@ -39,6 +39,9 @@ pub struct Sampler {
     entries: MetaPlane<SamplerEntry>,
     /// LLC sets per sampler set.
     stride: usize,
+    /// One bit per LLC set, set when the LLC set is sampled: the per-access
+    /// check is a bit test rather than a division by `stride`.
+    sampled: Vec<u64>,
     /// Bits of LLC set index below the tag.
     tag_shift: u32,
     hits: u64,
@@ -66,10 +69,16 @@ impl Sampler {
                 e.lru = way as u8;
             }
         }
+        let stride = llc_sets / config.sets;
+        let mut sampled = vec![0u64; llc_sets.div_ceil(64)];
+        for set in (0..config.sets).map(|s| s * stride) {
+            sampled[set / 64] |= 1 << (set % 64);
+        }
         Sampler {
             config,
             entries,
-            stride: llc_sets / config.sets,
+            stride,
+            sampled,
             tag_shift: llc_sets.trailing_zeros(),
             hits: 0,
             misses: 0,
@@ -77,13 +86,10 @@ impl Sampler {
     }
 
     /// Maps an LLC set to its sampler set, if sampled.
+    #[inline]
     pub fn sampler_set(&self, llc_set: usize) -> Option<usize> {
-        if llc_set.is_multiple_of(self.stride) {
-            let s = llc_set / self.stride;
-            (s < self.config.sets).then_some(s)
-        } else {
-            None
-        }
+        let word = self.sampled.get(llc_set / 64).copied().unwrap_or(0);
+        (word >> (llc_set % 64) & 1 == 1).then(|| llc_set / self.stride)
     }
 
     /// Fraction of LLC sets that are sampled.

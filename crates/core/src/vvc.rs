@@ -18,7 +18,6 @@
 
 use crate::config::SdbpConfig;
 use crate::predictor::SamplingPredictor;
-use sdbp_cache::policy::Access;
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{CacheConfig, CacheStats};
 use sdbp_predictors::DeadBlockPredictor;
@@ -144,7 +143,6 @@ impl VirtualVictimCache {
     /// partner frame when one exists.
     pub fn access(&mut self, a: &LlcAccess) -> bool {
         self.clock += 1;
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
         let set = a.block.set_index(self.config.sets);
         let block = a.block.raw();
 
@@ -152,7 +150,7 @@ impl VirtualVictimCache {
         if let Some(i) = self.find(set, block) {
             self.stats.home_hits += 1;
             let line = i; // frame index doubles as predictor line id
-            let dead = self.predictor.on_hit(set, line, &access);
+            let dead = self.predictor.on_hit(set, line, a);
             let f = &mut self.frames[i];
             f.stamp = self.clock;
             f.dead = dead;
@@ -175,7 +173,7 @@ impl VirtualVictimCache {
 
         // Miss: train, then fill the home set.
         self.stats.misses += 1;
-        self.predictor.on_miss(set, &access);
+        self.predictor.on_miss(set, a);
         let victim_way = self.lru_way(set);
         let victim_idx = set * self.config.ways + victim_way;
         let victim = self.frames[victim_idx];
@@ -184,7 +182,7 @@ impl VirtualVictimCache {
                 set,
                 victim_idx,
                 BlockAddr::new(victim.block),
-                &access,
+                a,
             );
             // Park the victim into a predicted-dead partner frame, unless
             // the victim itself is predicted dead (not worth saving).
@@ -198,7 +196,7 @@ impl VirtualVictimCache {
                 }
             }
         }
-        self.predictor.on_fill(set, victim_idx, &access);
+        self.predictor.on_fill(set, victim_idx, a);
         self.frames[victim_idx] =
             Frame { valid: true, block, dead: false, stamp: self.clock };
         false

@@ -4,8 +4,9 @@
 //! Replays one fixed-seed synthetic LLC stream (10M accesses by default)
 //! against registry-built policies twice per policy:
 //!
-//! * **before** — the pre-refactor collection loop, reconstructed here:
-//!   one `Vec<bool>` element pushed per access;
+//! * **before** — the pre-refactor collection, reconstructed as a probe
+//!   on the one replay loop ([`Cache::run`]): one `Vec<bool>` element
+//!   pushed per access;
 //! * **after** — [`sdbp_cache::replay::replay`], which packs outcomes
 //!   into the [`sdbp_cache::HitMap`] bitset (64 outcomes per word).
 //!
@@ -21,9 +22,8 @@
 //! ```
 
 use sdbp::registry::standard;
-use sdbp_cache::policy::Access;
 use sdbp_cache::recorder::LlcAccess;
-use sdbp_cache::replay::replay;
+use sdbp_cache::replay::{replay, ReplayProbe};
 use sdbp_cache::{Cache, CacheConfig, CacheStats};
 use sdbp_trace::rng::Rng64;
 use sdbp_trace::{AccessKind, BlockAddr, Pc};
@@ -61,15 +61,21 @@ fn synthetic_stream(accesses: u64) -> Vec<LlcAccess> {
     stream
 }
 
-/// The collection loop as it was before the refactor: unpacked booleans.
-fn replay_legacy(stream: &[LlcAccess], cache: &mut Cache) -> (CacheStats, Vec<bool>) {
-    let mut hits = Vec::with_capacity(stream.len());
-    for a in stream {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        hits.push(cache.access(&access).is_hit());
+/// Collects outcomes the way the pre-refactor loop did: unpacked booleans.
+struct Unpacked(Vec<bool>);
+
+impl ReplayProbe for Unpacked {
+    fn on_access(&mut self, _index: usize, hit: bool) {
+        self.0.push(hit);
     }
+}
+
+/// The pre-refactor collection, driven through the one replay loop.
+fn replay_legacy(stream: &[LlcAccess], cache: &mut Cache) -> (CacheStats, Vec<bool>) {
+    let mut hits = Unpacked(Vec::with_capacity(stream.len()));
+    cache.run(stream, None, Some(&mut hits));
     cache.finish();
-    (cache.stats(), hits)
+    (cache.stats(), hits.0)
 }
 
 struct PolicyReport {

@@ -3,6 +3,7 @@
 use super::Context;
 use crate::runner::SingleResult;
 use crate::table::{amean, f3, gmean, pct, TextTable};
+use sdbp_engine::Job;
 
 /// Normalized-MPKI table over a matrix whose column 0 is the LRU baseline.
 fn normalized_mpki_table(matrix: &[Vec<SingleResult>], extra: Option<&[f64]>) -> String {
@@ -67,17 +68,22 @@ fn speedup_table(matrix: &[Vec<SingleResult>]) -> String {
 /// optimal.
 pub fn fig4(ctx: &Context) -> String {
     let matrix = ctx.lru_matrix();
-    // Optimal misses per benchmark, aligned with the matrix rows.
+    // Optimal misses per benchmark, aligned with the matrix rows: one
+    // engine job per benchmark, collected in submission order.
     let llc = ctx.llc();
-    let optimal: Vec<f64> = matrix
+    let jobs: Vec<Job<'_, f64>> = matrix
         .iter()
         .map(|row| {
             let bench = sdbp_workloads::benchmark(&row[0].benchmark)
                 .expect("matrix benchmark must be in the suite");
-            let w = ctx.store.record(&bench, 0);
-            sdbp_optimal::simulate(&w.llc, llc).misses as f64
+            let store = ctx.store.clone();
+            Job::new(format!("fig4-min/{}", bench.name), move || {
+                let w = store.record(&bench, 0);
+                sdbp_optimal::simulate(&w.llc, llc).misses as f64
+            })
         })
         .collect();
+    let optimal = ctx.engine.run_batch("fig4-min", jobs).expect_all();
     format!(
         "Figure 4: normalized LLC misses (LRU = 1.0), 2MB LLC\n\n{}",
         normalized_mpki_table(matrix, Some(&optimal))

@@ -13,7 +13,7 @@
 
 use crate::hash::mix64;
 use crate::predictor::DeadBlockPredictor;
-use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{CacheConfig, MetaPlane};
 use sdbp_trace::{BlockAddr, Pc};
 use std::borrow::Cow;
@@ -24,10 +24,12 @@ const INDEX_BITS: u32 = 8;
 /// Per-generation access counts saturate at 4 bits.
 const COUNT_MAX: u8 = 15;
 
+#[inline]
 fn hash8(x: u64) -> usize {
     (mix64(x) & ((1 << INDEX_BITS) - 1)) as usize
 }
 
+#[inline]
 fn table_index(pc: Pc, block: BlockAddr) -> usize {
     (hash8(pc.raw() >> 2) << INDEX_BITS) | hash8(block.raw())
 }
@@ -61,10 +63,12 @@ impl Lvp {
         }
     }
 
+    #[inline]
     fn entry(&self, pc: Pc, block: BlockAddr) -> LvpEntry {
         self.table[table_index(pc, block)]
     }
 
+    #[inline]
     fn predict(&self, line: usize, block: BlockAddr) -> bool {
         let e = self.entry(self.fill_pc[line], block);
         e.confident && e.threshold > 0 && self.count[line] >= e.threshold
@@ -76,24 +80,28 @@ impl DeadBlockPredictor for Lvp {
         Cow::Borrowed("counting")
     }
 
-    fn on_hit(&mut self, _set: usize, line: usize, access: &Access) -> bool {
+    #[inline]
+    fn on_hit(&mut self, _set: usize, line: usize, access: &LlcAccess) -> bool {
         self.count[line] = (self.count[line] + 1).min(COUNT_MAX);
         self.predict(line, access.block)
     }
 
-    fn on_miss(&mut self, _set: usize, access: &Access) -> bool {
+    #[inline]
+    fn on_miss(&mut self, _set: usize, access: &LlcAccess) -> bool {
         // Dead on arrival: previous generations were never re-accessed
         // after the fill.
         let e = self.entry(access.pc, access.block);
         e.confident && e.threshold == 1
     }
 
-    fn on_fill(&mut self, _set: usize, line: usize, access: &Access) {
+    #[inline]
+    fn on_fill(&mut self, _set: usize, line: usize, access: &LlcAccess) {
         self.fill_pc[line] = access.pc;
         self.count[line] = 1; // the fill counts as the first access
     }
 
-    fn on_evict(&mut self, _set: usize, line: usize, victim: BlockAddr, _access: &Access) {
+    #[inline]
+    fn on_evict(&mut self, _set: usize, line: usize, victim: BlockAddr, _access: &LlcAccess) {
         let idx = table_index(self.fill_pc[line], victim);
         let e = &mut self.table[idx];
         e.confident = e.threshold == self.count[line];
@@ -147,7 +155,8 @@ impl DeadBlockPredictor for Aip {
         Cow::Borrowed("aip")
     }
 
-    fn on_hit(&mut self, set: usize, line: usize, access: &Access) -> bool {
+    #[inline]
+    fn on_hit(&mut self, set: usize, line: usize, access: &LlcAccess) -> bool {
         self.set_tick[set] += 1;
         let now = self.set_tick[set];
         let interval = (now - self.last_tick[line]).min(u16::MAX as u32) as u16;
@@ -157,19 +166,22 @@ impl DeadBlockPredictor for Aip {
         false // deadness only manifests through reassess()
     }
 
-    fn on_miss(&mut self, set: usize, _access: &Access) -> bool {
+    #[inline]
+    fn on_miss(&mut self, set: usize, _access: &LlcAccess) -> bool {
         self.set_tick[set] += 1;
         false // AIP does not predict dead-on-arrival
     }
 
-    fn on_fill(&mut self, set: usize, line: usize, access: &Access) {
+    #[inline]
+    fn on_fill(&mut self, set: usize, line: usize, access: &LlcAccess) {
         self.fill_pc[line] = access.pc;
         self.block_of[line] = access.block;
         self.last_tick[line] = self.set_tick[set];
         self.max_interval[line] = 0;
     }
 
-    fn on_evict(&mut self, _set: usize, line: usize, victim: BlockAddr, _access: &Access) {
+    #[inline]
+    fn on_evict(&mut self, _set: usize, line: usize, victim: BlockAddr, _access: &LlcAccess) {
         let idx = table_index(self.fill_pc[line], victim);
         let e = &mut self.table[idx];
         let new = self.max_interval[line];
@@ -179,7 +191,8 @@ impl DeadBlockPredictor for Aip {
         e.interval = new;
     }
 
-    fn reassess(&mut self, _set: usize, line: usize) -> Option<bool> {
+    #[inline]
+    fn reassess(&self, _set: usize, line: usize) -> Option<bool> {
         let set = self.set_of_line(line);
         let e = self.table[table_index(self.fill_pc[line], self.block_of[line])];
         if !e.confident || e.interval == 0 {
@@ -199,8 +212,8 @@ mod tests {
         CacheConfig::new(2, 2)
     }
 
-    fn acc(pc: u64, block: u64) -> Access {
-        Access::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(pc: u64, block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     fn lvp_generation(p: &mut Lvp, line: usize, pc: u64, block: u64, hits: usize) {

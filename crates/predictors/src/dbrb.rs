@@ -1,7 +1,9 @@
 //! Dead block replacement and bypass (paper §V).
 //!
 //! [`DeadBlockReplacement`] wraps any default [`ReplacementPolicy`] (LRU,
-//! random, ...) and any [`DeadBlockPredictor`]. On a miss it prefers to
+//! random, ...) and any [`DeadBlockPredictor`], both as type parameters,
+//! so a DBRB policy is one concrete type whose base and predictor
+//! callbacks are static calls. On a miss it prefers to
 //! evict a predicted-dead block (the one touched longest ago, i.e. closest
 //! to LRU); if the incoming block is predicted dead on arrival it bypasses
 //! the cache entirely; otherwise it defers to the default policy.
@@ -14,7 +16,8 @@
 //! DESIGN.md §3).
 
 use crate::predictor::{DeadBlockPredictor, PredictorStats};
-use sdbp_cache::policy::{Access, LineState, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{argmin_by, ReplacementPolicy, Victim};
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{CacheConfig, CacheStats, MetaPlane};
 use sdbp_trace::BlockAddr;
 use std::any::Any;
@@ -22,6 +25,33 @@ use std::borrow::Cow;
 // sdbp-allow(deterministic-iteration): shadow tag store is lookup/remove/retain only
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A fixed multiplicative hasher for the shadow map's block keys: one
+/// 64×64→128-bit multiply folded to 64 bits. Deterministic (no per-process
+/// seed) and far cheaper than SipHash; the keys are block numbers the
+/// simulator generates, not adversarial input.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Configuration of the DBRB wrapper.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -36,10 +66,86 @@ impl Default for DbrbConfig {
     }
 }
 
-/// The dead-block replacement and bypass policy. See the
-/// [module docs](self).
-pub struct DeadBlockReplacement<P> {
-    base: Box<dyn ReplacementPolicy>,
+/// Blocks recently bypassed or evicted as dead, each with the clock at
+/// which it left the cache.
+///
+/// A hash map holds the entries. A bit filter over the same keys answers
+/// the common lookup — a missing block that never left recently — without
+/// touching the map: every key in the map has its bit set, so a clear bit
+/// proves absence and the answer stays exact.
+#[derive(Clone, Debug)]
+struct Shadow {
+    // sdbp-allow(deterministic-iteration): lookup/remove/retain, and a key walk that only sets filter bits
+    map: HashMap<BlockAddr, u64, BuildHasherDefault<BlockHasher>>,
+    /// One bit per hash bucket; set for every key inserted since the last
+    /// rebuild.
+    filter: Vec<u64>,
+    /// Re-accesses within this many clock ticks count.
+    window: u64,
+}
+
+impl Shadow {
+    fn new(window: u64) -> Self {
+        // Sixteen bits per windowful of keys keeps the filter mostly clear
+        // between rebuilds (the map is pruned at 1.5 windows of keys).
+        let bits = (16 * window).next_power_of_two().max(64);
+        // sdbp-allow(deterministic-iteration): lookup/remove/retain only; the key walk in `age` just sets filter bits
+        Shadow { map: HashMap::default(), filter: vec![0; (bits / 64) as usize], window }
+    }
+
+    /// The word and bit of a `words`-word filter that `block` maps to.
+    #[inline]
+    fn slot(words: usize, block: BlockAddr) -> (usize, u64) {
+        let mut h = BlockHasher::default();
+        h.write_u64(block.raw());
+        let bit = h.finish() as usize & (words * 64 - 1);
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    #[inline]
+    fn insert(&mut self, block: BlockAddr, when: u64) {
+        let (word, bit) = Self::slot(self.filter.len(), block);
+        self.filter[word] |= bit;
+        self.map.insert(block, when);
+    }
+
+    /// Removes `block`'s entry, returning when it left.
+    #[inline]
+    fn take(&mut self, block: BlockAddr) -> Option<u64> {
+        let (word, bit) = Self::slot(self.filter.len(), block);
+        if self.filter[word] & bit == 0 {
+            return None;
+        }
+        self.map.remove(&block)
+    }
+
+    /// Once the map holds more than 1.5 windows of keys, drops the
+    /// entries too old to ever count again (later lookups happen at a
+    /// later clock than `now`) and rebuilds the filter from the survivors.
+    /// Pruning changes no answer, only the map's size.
+    fn age(&mut self, now: u64) {
+        // At most one key arrives per tick, so a prune leaves at most one
+        // window of keys, and the next comes after another half window of
+        // arrivals: the map stays small (cache-resident) at an amortized
+        // three entry visits per arrival.
+        if self.map.len() as u64 <= self.window + self.window / 2 {
+            return;
+        }
+        let cutoff = now.saturating_sub(self.window);
+        self.map.retain(|_, &mut when| when > cutoff);
+        self.filter.fill(0);
+        let words = self.filter.len();
+        for &block in self.map.keys() {
+            let (word, bit) = Self::slot(words, block);
+            self.filter[word] |= bit;
+        }
+    }
+}
+
+/// The dead-block replacement and bypass policy over base policy `B` and
+/// predictor `P`. See the [module docs](self).
+pub struct DeadBlockReplacement<B, P> {
+    base: B,
     predictor: P,
     config: DbrbConfig,
     ways: usize,
@@ -49,14 +155,12 @@ pub struct DeadBlockReplacement<P> {
     /// Dead-on-arrival prediction for the in-flight miss.
     incoming_dead: bool,
     stats: PredictorStats,
-    /// Blocks recently bypassed or evicted-as-dead, with the clock at which
-    /// that happened; re-access within the window counts a false positive.
-    // sdbp-allow(deterministic-iteration): lookup/remove only; retain is an order-free filter
-    shadow: HashMap<BlockAddr, u64>,
-    shadow_window: u64,
+    /// Blocks recently bypassed or evicted-as-dead; re-access within the
+    /// window counts a false positive.
+    shadow: Shadow,
 }
 
-impl<P: DeadBlockPredictor> fmt::Debug for DeadBlockReplacement<P> {
+impl<B: ReplacementPolicy, P: DeadBlockPredictor> fmt::Debug for DeadBlockReplacement<B, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DeadBlockReplacement")
             .field("base", &self.base.name())
@@ -67,15 +171,10 @@ impl<P: DeadBlockPredictor> fmt::Debug for DeadBlockReplacement<P> {
     }
 }
 
-impl<P: DeadBlockPredictor> DeadBlockReplacement<P> {
+impl<B: ReplacementPolicy, P: DeadBlockPredictor> DeadBlockReplacement<B, P> {
     /// Wraps `base` with dead-block replacement and bypass driven by
     /// `predictor`, for a cache of geometry `cache`.
-    pub fn new(
-        cache: CacheConfig,
-        base: Box<dyn ReplacementPolicy>,
-        predictor: P,
-        config: DbrbConfig,
-    ) -> Self {
+    pub fn new(cache: CacheConfig, base: B, predictor: P, config: DbrbConfig) -> Self {
         DeadBlockReplacement {
             base,
             predictor,
@@ -88,9 +187,7 @@ impl<P: DeadBlockPredictor> DeadBlockReplacement<P> {
             stats: PredictorStats::default(),
             // "Soon" = one cache's worth of LLC accesses, a standard
             // proxy for "would still have been resident".
-            // sdbp-allow(deterministic-iteration): lookup/remove only; never iterated into output
-            shadow: HashMap::new(),
-            shadow_window: cache.lines() as u64,
+            shadow: Shadow::new(cache.lines() as u64),
         }
     }
 
@@ -104,44 +201,60 @@ impl<P: DeadBlockPredictor> DeadBlockReplacement<P> {
         self.stats
     }
 
+    /// The base policy.
+    pub fn base(&self) -> &B {
+        &self.base
+    }
+
+    #[inline]
     fn line(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
 
+    #[inline]
     fn note_prediction(&mut self, dead: bool) {
         self.stats.predictions += 1;
-        if dead {
-            self.stats.positives += 1;
-        }
+        self.stats.positives += u64::from(dead);
+    }
+
+    /// The oldest-touched predicted-dead way of a full `set`, if any: a
+    /// branch-free argmin over last-touch times with live lines keyed out
+    /// at `u64::MAX` (no line is touched at that clock value).
+    #[inline]
+    fn dead_victim(&self, set: usize) -> Option<usize> {
+        let key = |way: usize| {
+            let line = self.line(set, way);
+            let dead = self.predictor.reassess(set, line).unwrap_or(self.dead[line]);
+            self.last_touch[line] | u64::from(!dead).wrapping_neg()
+        };
+        let way = argmin_by(self.ways, key);
+        (key(way) != u64::MAX).then_some(way)
     }
 
     fn check_shadow(&mut self, block: BlockAddr) {
-        if let Some(when) = self.shadow.remove(&block) {
-            if self.clock - when <= self.shadow_window {
+        if let Some(when) = self.shadow.take(block) {
+            if self.clock - when <= self.shadow.window {
                 self.stats.false_positives += 1;
             }
         }
-        // Opportunistic aging keeps the map bounded.
-        if self.shadow.len() > 4 * self.shadow_window as usize {
-            let cutoff = self.clock.saturating_sub(self.shadow_window);
-            self.shadow.retain(|_, &mut when| when > cutoff);
-        }
+        self.shadow.age(self.clock);
     }
 }
 
-impl<P: DeadBlockPredictor + 'static> ReplacementPolicy for DeadBlockReplacement<P> {
+impl<B: ReplacementPolicy + 'static, P: DeadBlockPredictor + 'static> ReplacementPolicy
+    for DeadBlockReplacement<B, P>
+{
     fn name(&self) -> Cow<'static, str> {
         Cow::Owned(format!("{}+{}-dbrb", self.base.name(), self.predictor.name()))
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, access: &Access) {
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize, access: &LlcAccess) {
         self.clock += 1;
         let line = self.line(set, way);
-        if self.dead[line] {
-            // The block was touched again while resident: the standing
-            // positive prediction was wrong.
-            self.stats.false_positives += 1;
-        }
+        // A block touched again while predicted dead disproves the
+        // standing positive prediction.
+        self.stats.false_positives += u64::from(self.dead[line]);
         let dead = self.predictor.on_hit(set, line, access);
         self.note_prediction(dead);
         self.dead[line] = dead;
@@ -149,7 +262,8 @@ impl<P: DeadBlockPredictor + 'static> ReplacementPolicy for DeadBlockReplacement
         self.base.on_hit(set, way, access);
     }
 
-    fn on_miss(&mut self, set: usize, access: &Access) {
+    #[inline]
+    fn on_miss(&mut self, set: usize, access: &LlcAccess) {
         self.clock += 1;
         self.check_shadow(access.block);
         self.incoming_dead = self.predictor.on_miss(set, access);
@@ -157,32 +271,23 @@ impl<P: DeadBlockPredictor + 'static> ReplacementPolicy for DeadBlockReplacement
         self.base.on_miss(set, access);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], access: &Access) -> Victim {
+    #[inline]
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, access: &LlcAccess) -> Victim {
         if self.config.bypass && self.incoming_dead {
             return Victim::Bypass;
         }
         // Prefer an invalid way (free), then a predicted-dead block
         // (oldest-touched first), then the default policy's choice.
-        let mut victim: Option<usize> = None;
-        let mut oldest = u64::MAX;
-        for (w, l) in lines.iter().enumerate() {
-            if !l.valid {
-                return self.base.choose_victim(set, lines, access);
-            }
-            let line = self.line(set, w);
-            let dead = self.predictor.reassess(set, line).unwrap_or(self.dead[line]);
-            if dead && self.last_touch[line] < oldest {
-                oldest = self.last_touch[line];
-                victim = Some(w);
+        if invalid.is_none() {
+            if let Some(way) = self.dead_victim(set) {
+                return Victim::Way(way);
             }
         }
-        match victim {
-            Some(w) => Victim::Way(w),
-            None => self.base.choose_victim(set, lines, access),
-        }
+        self.base.choose_victim(set, invalid, access)
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize, access: &LlcAccess) {
         let line = self.line(set, way);
         self.predictor.on_fill(set, line, access);
         // With bypass enabled a dead-on-arrival block never reaches here;
@@ -192,7 +297,8 @@ impl<P: DeadBlockPredictor + 'static> ReplacementPolicy for DeadBlockReplacement
         self.base.on_fill(set, way, access);
     }
 
-    fn on_evict(&mut self, set: usize, way: usize, victim: BlockAddr, access: &Access) {
+    #[inline]
+    fn on_evict(&mut self, set: usize, way: usize, victim: BlockAddr, access: &LlcAccess) {
         let line = self.line(set, way);
         if self.dead[line] {
             // Track dead-chosen victims so an imminent re-access counts
@@ -203,7 +309,7 @@ impl<P: DeadBlockPredictor + 'static> ReplacementPolicy for DeadBlockReplacement
         self.base.on_evict(set, way, victim, access);
     }
 
-    fn on_bypass(&mut self, set: usize, access: &Access) {
+    fn on_bypass(&mut self, set: usize, access: &LlcAccess) {
         self.shadow.insert(access.block, self.clock);
         self.base.on_bypass(set, access);
     }
@@ -223,23 +329,23 @@ impl<P: DeadBlockPredictor + 'static> ReplacementPolicy for DeadBlockReplacement
 mod tests {
     use super::*;
     use crate::reftrace::RefTrace;
-    use sdbp_cache::policy::Lru;
+    use sdbp_cache::policy::{Lru, Policy};
     use sdbp_cache::{Cache, CacheConfig};
     use sdbp_trace::{AccessKind, Pc};
 
     fn dbrb_cache(cfg: CacheConfig, bypass: bool) -> Cache {
-        let base = Box::new(Lru::new(cfg.sets, cfg.ways));
+        let base = Lru::new(cfg.sets, cfg.ways);
         let policy = DeadBlockReplacement::new(
             cfg,
             base,
             RefTrace::new(cfg),
             DbrbConfig { bypass },
         );
-        Cache::with_policy(cfg, Box::new(policy))
+        Cache::with_policy(cfg, Policy::new(policy))
     }
 
-    fn acc(pc: u64, block: u64) -> Access {
-        Access::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(pc: u64, block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     #[test]
@@ -309,11 +415,11 @@ mod tests {
     #[test]
     fn false_positives_are_counted_on_resident_rehits() {
         let cfg = CacheConfig::new(1, 2);
-        let base = Box::new(Lru::new(cfg.sets, cfg.ways));
+        let base = Lru::new(cfg.sets, cfg.ways);
         // Train reftrace that PC pair (fill 0x600, hit 0x604) is terminal...
         let policy =
             DeadBlockReplacement::new(cfg, base, RefTrace::new(cfg), DbrbConfig::default());
-        let mut c = Cache::with_policy(cfg, Box::new(policy));
+        let mut c = Cache::with_policy(cfg, Policy::new(policy));
         for i in 0..50u64 {
             let b = 10 + 2 * i;
             c.access(&acc(0x600, b));
@@ -347,14 +453,14 @@ mod tests {
     fn works_with_random_base_policy() {
         use sdbp_replacement::Random;
         let cfg = CacheConfig::new(8, 4);
-        let base = Box::new(Random::new(cfg, 7));
+        let base = Random::new(cfg, 7);
         let policy = DeadBlockReplacement::new(
             cfg,
             base,
             RefTrace::new(cfg),
             DbrbConfig::default(),
         );
-        let mut c = Cache::with_policy(cfg, Box::new(policy));
+        let mut c = Cache::with_policy(cfg, Policy::new(policy));
         assert_eq!(c.policy().name(), "Random+reftrace-dbrb");
         for b in 0..5_000u64 {
             c.access(&acc(0x400 + (b % 7) * 4, b % 300));
@@ -371,9 +477,10 @@ mod tests {
         let policy = c
             .policy()
             .as_any()
-            .downcast_ref::<DeadBlockReplacement<RefTrace>>()
+            .downcast_ref::<DeadBlockReplacement<Lru, RefTrace>>()
             .expect("downcast failed");
         assert_eq!(policy.predictor().name(), "reftrace");
         assert_eq!(policy.predictor_stats(), PredictorStats::default());
+        assert_eq!(policy.base().name(), "LRU");
     }
 }

@@ -23,13 +23,9 @@ pub fn mix64(mut x: u64) -> u64 {
 pub fn fold(x: u64, bits: u32) -> u64 {
     assert!((1..=32).contains(&bits), "fold width must be in 1..=32");
     let mask = (1u64 << bits) - 1;
-    let mut v = x;
-    let mut out = 0;
-    while v != 0 {
-        out ^= v & mask;
-        v >>= bits;
-    }
-    out
+    // A fixed chunk count (not "until the rest is zero"), so the loop
+    // trip count depends only on `bits`, never on the hashed value.
+    (0..64u32.div_ceil(bits)).fold(0, |out, chunk| out ^ ((x >> (chunk * bits)) & mask))
 }
 
 /// One of a family of independent hashes of `x` into `bits` bits.

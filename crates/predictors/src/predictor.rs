@@ -6,7 +6,7 @@
 //! predictors can keep per-line metadata in plain vectors (mirroring the
 //! per-block metadata bits of the hardware proposals).
 
-use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_trace::BlockAddr;
 use std::borrow::Cow;
 
@@ -21,23 +21,23 @@ pub trait DeadBlockPredictor {
     /// An access hit the resident block in `line`. Trains the predictor
     /// (the block just proved it was live) and returns the *new* prediction
     /// for the block given this latest access.
-    fn on_hit(&mut self, set: usize, line: usize, access: &Access) -> bool;
+    fn on_hit(&mut self, set: usize, line: usize, access: &LlcAccess) -> bool;
 
     /// An access missed in `set`. Returns the dead-on-arrival prediction
     /// for the incoming block (used for bypass).
-    fn on_miss(&mut self, set: usize, access: &Access) -> bool;
+    fn on_miss(&mut self, set: usize, access: &LlcAccess) -> bool;
 
     /// The incoming block was placed in `line`; initialise per-line state.
-    fn on_fill(&mut self, set: usize, line: usize, access: &Access);
+    fn on_fill(&mut self, set: usize, line: usize, access: &LlcAccess);
 
     /// The block `victim` in `line` is being evicted (to make room for
     /// `access`'s block). Predictors that learn from evictions train here.
-    fn on_evict(&mut self, set: usize, line: usize, victim: BlockAddr, access: &Access);
+    fn on_evict(&mut self, set: usize, line: usize, victim: BlockAddr, access: &LlcAccess);
 
     /// Time-based predictors (AIP) re-evaluate a line's deadness lazily at
     /// victim-selection time; others return `None` to keep the prediction
     /// made at the line's last access.
-    fn reassess(&mut self, set: usize, line: usize) -> Option<bool> {
+    fn reassess(&self, set: usize, line: usize) -> Option<bool> {
         let _ = (set, line);
         None
     }
@@ -108,11 +108,13 @@ impl CounterTable {
     }
 
     /// Current value of entry `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> u8 {
         self.counters[i]
     }
 
     /// Saturating increment ("trained dead").
+    #[inline]
     pub fn increment(&mut self, i: usize) {
         let c = &mut self.counters[i];
         *c = c.saturating_add(1).min(self.max);
@@ -120,6 +122,7 @@ impl CounterTable {
     }
 
     /// Saturating decrement ("trained live").
+    #[inline]
     pub fn decrement(&mut self, i: usize) {
         let c = &mut self.counters[i];
         *c = c.saturating_sub(1);

@@ -14,7 +14,7 @@
 //! cache block (Table I).
 
 use crate::predictor::{CounterTable, DeadBlockPredictor};
-use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{CacheConfig, MetaPlane};
 use sdbp_trace::{BlockAddr, Pc};
 use std::borrow::Cow;
@@ -87,15 +87,18 @@ impl RefTrace {
         }
     }
 
+    #[inline]
     fn pc_term(pc: Pc) -> u16 {
         // PCs are 4-byte aligned; drop the always-zero bits for entropy.
         ((pc.raw() >> 2) & ((1 << SIGNATURE_BITS) - 1)) as u16
     }
 
+    #[inline]
     fn extend(sig: u16, pc: Pc) -> u16 {
         (sig.wrapping_add(Self::pc_term(pc))) & ((1 << SIGNATURE_BITS) - 1)
     }
 
+    #[inline]
     fn predict(&self, sig: u16) -> bool {
         self.table.get(sig as usize) >= self.threshold
     }
@@ -109,7 +112,8 @@ impl DeadBlockPredictor for RefTrace {
         }
     }
 
-    fn on_hit(&mut self, _set: usize, line: usize, access: &Access) -> bool {
+    #[inline]
+    fn on_hit(&mut self, _set: usize, line: usize, access: &LlcAccess) -> bool {
         let pc_term = Self::pc_term(access.pc);
         if self.mode == BurstMode::Bursts && self.last_pc[line] == pc_term {
             // Same burst: neither train nor extend.
@@ -122,18 +126,21 @@ impl DeadBlockPredictor for RefTrace {
         self.predict(self.signatures[line])
     }
 
-    fn on_miss(&mut self, _set: usize, access: &Access) -> bool {
+    #[inline]
+    fn on_miss(&mut self, _set: usize, access: &LlcAccess) -> bool {
         // Dead-on-arrival check: the incoming block's signature would start
         // with just this PC.
         self.predict(Self::pc_term(access.pc))
     }
 
-    fn on_fill(&mut self, _set: usize, line: usize, access: &Access) {
+    #[inline]
+    fn on_fill(&mut self, _set: usize, line: usize, access: &LlcAccess) {
         self.signatures[line] = Self::pc_term(access.pc);
         self.last_pc[line] = Self::pc_term(access.pc);
     }
 
-    fn on_evict(&mut self, _set: usize, line: usize, _victim: BlockAddr, _access: &Access) {
+    #[inline]
+    fn on_evict(&mut self, _set: usize, line: usize, _victim: BlockAddr, _access: &LlcAccess) {
         // The trace accumulated by the dying block led to its death.
         self.table.increment(self.signatures[line] as usize);
     }
@@ -148,8 +155,8 @@ mod tests {
         CacheConfig::new(2, 2)
     }
 
-    fn acc(pc: u64, block: u64) -> Access {
-        Access::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(pc: u64, block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     /// Drives one block through fill → hits → eviction.

@@ -2,7 +2,8 @@
 //! driven by the in-repo deterministic RNG (fixed seeds, exact
 //! reproduction, offline build).
 
-use sdbp_cache::policy::Access;
+use sdbp_cache::policy::{Lru, Policy};
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_predictors::dbrb::{DbrbConfig, DeadBlockReplacement};
 use sdbp_predictors::predictor::CounterTable;
@@ -13,15 +14,15 @@ use sdbp_trace::{AccessKind, BlockAddr, Pc};
 const CASES: u64 = 48;
 
 fn dbrb_caches(cfg: CacheConfig, bypass: bool) -> Vec<Cache> {
-    let lru = || Box::new(sdbp_cache::policy::Lru::new(cfg.sets, cfg.ways));
+    let lru = || Lru::new(cfg.sets, cfg.ways);
     let c = DbrbConfig { bypass };
     vec![
         Cache::with_policy(
             cfg,
-            Box::new(DeadBlockReplacement::new(cfg, lru(), RefTrace::new(cfg), c)),
+            Policy::new(DeadBlockReplacement::new(cfg, lru(), RefTrace::new(cfg), c)),
         ),
-        Cache::with_policy(cfg, Box::new(DeadBlockReplacement::new(cfg, lru(), Lvp::new(cfg), c))),
-        Cache::with_policy(cfg, Box::new(DeadBlockReplacement::new(cfg, lru(), Aip::new(cfg), c))),
+        Cache::with_policy(cfg, Policy::new(DeadBlockReplacement::new(cfg, lru(), Lvp::new(cfg), c))),
+        Cache::with_policy(cfg, Policy::new(DeadBlockReplacement::new(cfg, lru(), Aip::new(cfg), c))),
     ]
 }
 
@@ -60,7 +61,7 @@ fn dbrb_stats_invariants() {
         for mut cache in dbrb_caches(cfg, bypass) {
             for &(pc, b, w) in &raw {
                 let kind = if w { AccessKind::Write } else { AccessKind::Read };
-                cache.access(&Access::demand(
+                cache.access(&LlcAccess::demand(
                     Pc::new(0x400 + u64::from(pc) * 4),
                     BlockAddr::new(b),
                     kind,
@@ -94,7 +95,7 @@ fn dbrb_hits_are_always_justified() {
         for mut cache in dbrb_caches(cfg, true) {
             let mut resident = std::collections::HashSet::new();
             for &(pc, b) in &raw {
-                let a = Access::demand(
+                let a = LlcAccess::demand(
                     Pc::new(0x400 + u64::from(pc) * 4),
                     BlockAddr::new(b),
                     AccessKind::Read,
@@ -134,7 +135,7 @@ fn reftrace_signature_is_order_insensitive() {
         let drive = |order: &[u64]| {
             let mut p = RefTrace::new(cfg);
             let a = |pc: u64| {
-                Access::demand(Pc::new(pc << 2), BlockAddr::new(7), AccessKind::Read, 0)
+                LlcAccess::demand(Pc::new(pc << 2), BlockAddr::new(7), AccessKind::Read, 0)
             };
             p.on_fill(0, 0, &a(order[0]));
             for &pc in &order[1..] {
@@ -153,7 +154,7 @@ fn reftrace_signature_is_order_insensitive() {
         // Replay the original order against both predictors: identical
         // prediction at the end of the trace.
         let a =
-            |pc: u64| Access::demand(Pc::new(pc << 2), BlockAddr::new(9), AccessKind::Read, 0);
+            |pc: u64| LlcAccess::demand(Pc::new(pc << 2), BlockAddr::new(9), AccessKind::Read, 0);
         p1.on_fill(0, 1, &a(pcs[0]));
         p2.on_fill(0, 1, &a(pcs[0]));
         let mut last1 = false;
@@ -191,7 +192,7 @@ fn lvp_without_stability_never_bypasses() {
         let fill_pc = Pc::new(0x400);
         let block = BlockAddr::new(5);
         for &len in &lengths {
-            let a = Access::demand(fill_pc, block, AccessKind::Read, 0);
+            let a = LlcAccess::demand(fill_pc, block, AccessKind::Read, 0);
             assert!(!p.on_miss(0, &a), "bypass without stable generations");
             p.on_fill(0, 0, &a);
             for _ in 1..len {

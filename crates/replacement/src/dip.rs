@@ -8,7 +8,8 @@
 
 use crate::dueling::{DuelingMap, Psel, Role};
 use sdbp_trace::rng::Rng64;
-use sdbp_cache::policy::{first_invalid, Access, LineState, Lru, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{Lru, ReplacementPolicy, Victim};
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
 use std::any::Any;
 use std::borrow::Cow;
@@ -59,11 +60,11 @@ impl InsertionDueler {
         }
     }
 
-    fn core_index(&self, access: &Access) -> usize {
+    fn core_index(&self, access: &LlcAccess) -> usize {
         (access.core as usize).min(self.map.cores() - 1)
     }
 
-    fn on_miss(&mut self, set: usize, _access: &Access) {
+    fn on_miss(&mut self, set: usize, _access: &LlcAccess) {
         // Every miss in a leader set trains the owning core's PSEL (all
         // cores' misses count, so cross-core benefits of the owner's
         // insertion choice register — the TADIP-F feedback).
@@ -76,7 +77,7 @@ impl InsertionDueler {
         }
     }
 
-    fn insertion_for(&mut self, set: usize, access: &Access) -> Insertion {
+    fn insertion_for(&mut self, set: usize, access: &LlcAccess) -> Insertion {
         let core = self.core_index(access);
         match self.map.role(set, core) {
             Role::LeaderBaseline => Insertion::Mru,
@@ -91,7 +92,7 @@ impl InsertionDueler {
         }
     }
 
-    fn fill(&mut self, set: usize, way: usize, access: &Access) {
+    fn fill(&mut self, set: usize, way: usize, access: &LlcAccess) {
         match self.insertion_for(set, access) {
             Insertion::Mru => self.lru.promote(set, way),
             Insertion::Bip => {
@@ -131,22 +132,20 @@ impl ReplacementPolicy for Dip {
         Cow::Borrowed("DIP")
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
+    fn on_hit(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.inner.lru.promote(set, way);
     }
 
-    fn on_miss(&mut self, set: usize, access: &Access) {
+    fn on_miss(&mut self, set: usize, access: &LlcAccess) {
         self.inner.on_miss(set, access);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.inner.lru.lru_way(set, lines)),
-        }
+    #[inline]
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, _access: &LlcAccess) -> Victim {
+        Victim::Way(invalid.unwrap_or_else(|| self.inner.lru.lru_way(set)))
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
+    fn on_fill(&mut self, set: usize, way: usize, access: &LlcAccess) {
         self.inner.fill(set, way, access);
     }
 
@@ -173,22 +172,20 @@ impl ReplacementPolicy for Tadip {
         Cow::Borrowed("TADIP")
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
+    fn on_hit(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.inner.lru.promote(set, way);
     }
 
-    fn on_miss(&mut self, set: usize, access: &Access) {
+    fn on_miss(&mut self, set: usize, access: &LlcAccess) {
         self.inner.on_miss(set, access);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.inner.lru.lru_way(set, lines)),
-        }
+    #[inline]
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, _access: &LlcAccess) -> Victim {
+        Victim::Way(invalid.unwrap_or_else(|| self.inner.lru.lru_way(set)))
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
+    fn on_fill(&mut self, set: usize, way: usize, access: &LlcAccess) {
         self.inner.fill(set, way, access);
     }
 
@@ -203,8 +200,8 @@ mod tests {
     use sdbp_cache::Cache;
     use sdbp_trace::{AccessKind, BlockAddr, Pc};
 
-    fn acc(block: u64) -> Access {
-        Access::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     fn dip_cache(sets: usize, ways: usize) -> Cache {
@@ -263,7 +260,7 @@ mod tests {
         let mut friendly_refs = 0u64;
         for round in 0..60 {
             for i in 0..thrash_blocks {
-                cache.access(&Access::demand(
+                cache.access(&LlcAccess::demand(
                     Pc::new(1),
                     BlockAddr::new(1_000_000 + (i % thrash_blocks)),
                     AccessKind::Read,
@@ -272,7 +269,7 @@ mod tests {
                 if i % 16 == 0 {
                     let b = (i / 16) % friendly_blocks;
                     let hit = cache
-                        .access(&Access::demand(Pc::new(2), BlockAddr::new(b), AccessKind::Read, 1))
+                        .access(&LlcAccess::demand(Pc::new(2), BlockAddr::new(b), AccessKind::Read, 1))
                         .is_hit();
                     if round >= 30 {
                         friendly_refs += 1;

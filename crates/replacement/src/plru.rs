@@ -8,7 +8,8 @@
 //! with, and a useful third baseline between true LRU and random.
 
 use sdbp_cache::meta::MetaPlane;
-use sdbp_cache::policy::{first_invalid, Access, LineState, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{ReplacementPolicy, Victim};
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
 use std::any::Any;
 use std::borrow::Cow;
@@ -88,18 +89,15 @@ impl ReplacementPolicy for PseudoLru {
         Cow::Borrowed("PLRU")
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
+    fn on_hit(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.touch(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.victim_way(set)),
-        }
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, _access: &LlcAccess) -> Victim {
+        Victim::Way(invalid.unwrap_or_else(|| self.victim_way(set)))
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, _access: &Access) {
+    fn on_fill(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.touch(set, way);
     }
 
@@ -114,8 +112,8 @@ mod tests {
     use sdbp_cache::{Cache, CacheConfig};
     use sdbp_trace::{AccessKind, BlockAddr, Pc};
 
-    fn acc(block: u64) -> Access {
-        Access::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     #[test]

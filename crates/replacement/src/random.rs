@@ -1,7 +1,8 @@
 //! Random replacement — the cheap default policy of paper §V-A.
 
 use sdbp_trace::rng::Rng64;
-use sdbp_cache::policy::{first_invalid, Access, LineState, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{ReplacementPolicy, Victim};
+use sdbp_cache::recorder::LlcAccess;
 use std::any::Any;
 use std::borrow::Cow;
 
@@ -36,16 +37,14 @@ impl ReplacementPolicy for Random {
         Cow::Borrowed("Random")
     }
 
-    fn on_hit(&mut self, _set: usize, _way: usize, _access: &Access) {}
+    fn on_hit(&mut self, _set: usize, _way: usize, _access: &LlcAccess) {}
 
-    fn choose_victim(&mut self, _set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.rng.gen_range(0..self.ways)),
-        }
+    #[inline]
+    fn choose_victim(&mut self, _set: usize, invalid: Option<usize>, _access: &LlcAccess) -> Victim {
+        Victim::Way(invalid.unwrap_or_else(|| self.rng.gen_range(0..self.ways)))
     }
 
-    fn on_fill(&mut self, _set: usize, _way: usize, _access: &Access) {}
+    fn on_fill(&mut self, _set: usize, _way: usize, _access: &LlcAccess) {}
 
     fn as_any(&self) -> &dyn Any {
         self
@@ -58,8 +57,8 @@ mod tests {
     use sdbp_cache::{Cache, CacheConfig};
     use sdbp_trace::{AccessKind, BlockAddr, Pc};
 
-    fn acc(block: u64) -> Access {
-        Access::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! result tables and golden fixtures can be keyed by the string form.
 
 use crate::{Dip, Drrip, PseudoLru, Random, Srrip, Tadip};
-use sdbp_cache::policy::{Lru, ReplacementPolicy};
+use sdbp_cache::policy::{Lru, Policy};
 use sdbp_cache::CacheConfig;
 use std::fmt;
 use std::str::FromStr;
@@ -151,9 +151,10 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Constructor signature of a registry entry: the full spec (for
-/// parameterized policies), the LLC geometry, and the core count.
-pub type BuildFn =
-    fn(&PolicySpec, CacheConfig, usize) -> Result<Box<dyn ReplacementPolicy>, SpecError>;
+/// parameterized policies), the LLC geometry, and the core count. Every
+/// entry builds its concrete policy type with [`Policy::new`], so the
+/// replay loop calls it statically.
+pub type BuildFn = fn(&PolicySpec, CacheConfig, usize) -> Result<Policy, SpecError>;
 
 /// One buildable policy.
 #[derive(Clone, Debug)]
@@ -207,7 +208,7 @@ impl Registry {
             shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
-                Ok(Box::new(Lru::new(llc.sets, llc.ways)))
+                Ok(Policy::new(Lru::new(llc.sets, llc.ways)))
             },
         });
         r.register(PolicyEntry {
@@ -217,7 +218,7 @@ impl Registry {
             shardable: false,
             build: |spec, llc, _| {
                 reject_params(spec)?;
-                Ok(Box::new(Random::new(llc, REGISTRY_SEED)))
+                Ok(Policy::new(Random::new(llc, REGISTRY_SEED)))
             },
         });
         r.register(PolicyEntry {
@@ -227,7 +228,7 @@ impl Registry {
             shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
-                Ok(Box::new(PseudoLru::new(llc)))
+                Ok(Policy::new(PseudoLru::new(llc)))
             },
         });
         r.register(PolicyEntry {
@@ -237,7 +238,7 @@ impl Registry {
             shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
-                Ok(Box::new(Srrip::new(llc)))
+                Ok(Policy::new(Srrip::new(llc)))
             },
         });
         r.register(PolicyEntry {
@@ -247,7 +248,7 @@ impl Registry {
             shardable: false,
             build: |spec, llc, cores| {
                 reject_params(spec)?;
-                Ok(Box::new(Drrip::new(llc, cores, REGISTRY_SEED)))
+                Ok(Policy::new(Drrip::new(llc, cores, REGISTRY_SEED)))
             },
         });
         r.register(PolicyEntry {
@@ -257,7 +258,7 @@ impl Registry {
             shardable: false,
             build: |spec, llc, _| {
                 reject_params(spec)?;
-                Ok(Box::new(Dip::new(llc, REGISTRY_SEED)))
+                Ok(Policy::new(Dip::new(llc, REGISTRY_SEED)))
             },
         });
         r.register(PolicyEntry {
@@ -267,7 +268,7 @@ impl Registry {
             shardable: false,
             build: |spec, llc, cores| {
                 reject_params(spec)?;
-                Ok(Box::new(Tadip::new(llc, cores, REGISTRY_SEED)))
+                Ok(Policy::new(Tadip::new(llc, cores, REGISTRY_SEED)))
             },
         });
         r
@@ -308,7 +309,7 @@ impl Registry {
         spec: &PolicySpec,
         llc: CacheConfig,
         cores: usize,
-    ) -> Result<Box<dyn ReplacementPolicy>, SpecError> {
+    ) -> Result<Policy, SpecError> {
         let entry = self
             .find(&spec.name)
             .ok_or_else(|| SpecError::UnknownPolicy(spec.name.clone()))?;
@@ -326,7 +327,7 @@ impl Registry {
         spec: &str,
         llc: CacheConfig,
         cores: usize,
-    ) -> Result<Box<dyn ReplacementPolicy>, SpecError> {
+    ) -> Result<Policy, SpecError> {
         self.build(&spec.parse()?, llc, cores)
     }
 }
@@ -433,7 +434,7 @@ mod tests {
             shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
-                Ok(Box::new(Lru::new(llc.sets, llc.ways)))
+                Ok(Policy::new(Lru::new(llc.sets, llc.ways)))
             },
         });
     }

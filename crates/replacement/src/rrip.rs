@@ -10,7 +10,8 @@
 use crate::dueling::{DuelingMap, Psel, Role};
 use sdbp_trace::rng::Rng64;
 use sdbp_cache::meta::MetaPlane;
-use sdbp_cache::policy::{first_invalid, Access, LineState, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{ReplacementPolicy, Victim};
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
 use std::any::Any;
 use std::borrow::Cow;
@@ -45,21 +46,26 @@ impl RrpvArray {
         self.rrpv[(set, way)] = rrpv;
     }
 
-    /// SRRIP victim search: first distant line, aging the set until one
-    /// exists. Terminates because aging strictly increases some RRPV.
-    fn victim(&mut self, set: usize, lines: &[LineState]) -> usize {
-        if let Some(w) = first_invalid(lines) {
+    /// SRRIP victim search: the first distant line, after aging the set
+    /// until one exists. Aging one step at a time until some RRPV reaches
+    /// [`RRPV_MAX`] is the same as adding `RRPV_MAX - max` to every line
+    /// at once, and the first distant line is then the first line that
+    /// held the set's largest RRPV — so the search is one max, one add
+    /// pass and one select-based scan, with no data-dependent loop.
+    #[inline]
+    fn victim(&mut self, set: usize, invalid: Option<usize>) -> usize {
+        if let Some(w) = invalid {
             return w;
         }
         let row = self.rrpv.row_mut(set);
-        loop {
-            if let Some(w) = row.iter().position(|&r| r == RRPV_MAX) {
-                return w;
-            }
-            for r in row.iter_mut() {
-                *r += 1;
-            }
+        let max = row.iter().copied().fold(0, u8::max);
+        let age = RRPV_MAX - max;
+        let mut victim = row.len();
+        for (w, r) in row.iter_mut().enumerate().rev() {
+            *r += age;
+            victim = if *r == RRPV_MAX { w } else { victim };
         }
+        victim
     }
 }
 
@@ -89,15 +95,15 @@ impl ReplacementPolicy for Srrip {
         Cow::Borrowed("SRRIP")
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
+    fn on_hit(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.rrpv.promote(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        Victim::Way(self.rrpv.victim(set, lines))
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, _access: &LlcAccess) -> Victim {
+        Victim::Way(self.rrpv.victim(set, invalid))
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, _access: &Access) {
+    fn on_fill(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.rrpv.insert(set, way, RRPV_LONG);
     }
 
@@ -130,7 +136,7 @@ impl Drrip {
         }
     }
 
-    fn core_index(&self, access: &Access) -> usize {
+    fn core_index(&self, access: &LlcAccess) -> usize {
         (access.core as usize).min(self.map.cores() - 1)
     }
 
@@ -152,11 +158,11 @@ impl ReplacementPolicy for Drrip {
         }
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
+    fn on_hit(&mut self, set: usize, way: usize, _access: &LlcAccess) {
         self.rrpv.promote(set, way);
     }
 
-    fn on_miss(&mut self, set: usize, _access: &Access) {
+    fn on_miss(&mut self, set: usize, _access: &LlcAccess) {
         // All cores' misses in a leader set train the owner's PSEL (see
         // InsertionDueler::on_miss for rationale).
         if let Some((core, role)) = self.map.leader_of(set) {
@@ -168,11 +174,11 @@ impl ReplacementPolicy for Drrip {
         }
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        Victim::Way(self.rrpv.victim(set, lines))
+    fn choose_victim(&mut self, set: usize, invalid: Option<usize>, _access: &LlcAccess) -> Victim {
+        Victim::Way(self.rrpv.victim(set, invalid))
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
+    fn on_fill(&mut self, set: usize, way: usize, access: &LlcAccess) {
         let core = self.core_index(access);
         let use_brrip = match self.map.role(set, core) {
             Role::LeaderBaseline => false,
@@ -194,8 +200,8 @@ mod tests {
     use sdbp_cache::Cache;
     use sdbp_trace::{AccessKind, BlockAddr, Pc};
 
-    fn acc(block: u64) -> Access {
-        Access::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
+    fn acc(block: u64) -> LlcAccess {
+        LlcAccess::demand(Pc::new(0), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
     #[test]
@@ -203,14 +209,41 @@ mod tests {
         let cfg = CacheConfig::new(1, 4);
         let mut s = Srrip::new(cfg);
         let a = acc(0);
-        let lines = [LineState { valid: true, block: BlockAddr::new(0), dirty: false }; 4];
         for w in 0..4 {
             s.on_fill(0, w, &a); // all RRPV = 2
         }
         s.on_hit(0, 2, &a); // way 2 RRPV = 0
         // No distant line: aging bumps everyone; ways 0,1,3 reach 3 first.
-        let v = s.choose_victim(0, &lines, &a);
-        assert!(matches!(v, Victim::Way(w) if w != 2));
+        let v = s.choose_victim(0, None, &a);
+        assert_eq!(v, Victim::Way(0), "the first line that reaches distant");
+    }
+
+    #[test]
+    fn one_shot_aging_matches_step_by_step_aging() {
+        use sdbp_trace::rng::Rng64;
+        // The reference is the textbook loop: look for a distant line,
+        // age the whole set by one, repeat.
+        fn stepwise(row: &mut [u8]) -> usize {
+            loop {
+                if let Some(w) = row.iter().position(|&r| r == RRPV_MAX) {
+                    return w;
+                }
+                for r in row.iter_mut() {
+                    *r += 1;
+                }
+            }
+        }
+        let mut rng = Rng64::seed_from_u64(0x5eed);
+        for _ in 0..2_000 {
+            let ways = rng.gen_range(1usize..20);
+            let mut rrpv = RrpvArray::new(CacheConfig::new(1, ways));
+            let mut expected: Vec<u8> =
+                (0..ways).map(|_| rng.gen_range(0u64..u64::from(RRPV_MAX) + 1) as u8).collect();
+            rrpv.rrpv.row_mut(0).copy_from_slice(&expected);
+            let want = stepwise(&mut expected);
+            assert_eq!(rrpv.victim(0, None), want);
+            assert_eq!(rrpv.rrpv.row(0), &expected[..], "aged RRPVs must match too");
+        }
     }
 
     #[test]
@@ -296,12 +329,11 @@ mod tests {
         let cfg = CacheConfig::new(1, 8);
         let mut s = Srrip::new(cfg);
         let a = acc(0);
-        let lines = [LineState { valid: true, block: BlockAddr::new(0), dirty: false }; 8];
         for w in 0..8 {
             s.on_fill(0, w, &a);
             s.on_hit(0, w, &a); // all RRPV = 0
         }
-        match s.choose_victim(0, &lines, &a) {
+        match s.choose_victim(0, None, &a) {
             Victim::Way(w) => assert!(w < 8),
             Victim::Bypass => panic!("SRRIP never bypasses"),
         }

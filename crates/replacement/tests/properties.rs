@@ -2,7 +2,7 @@
 //! in-repo deterministic RNG (fixed seeds, exact reproduction, offline
 //! build).
 
-use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_replacement::{Dip, Drrip, DuelingMap, Psel, PseudoLru, Random, Role, Srrip, Tadip};
 use sdbp_trace::rng::Rng64;
@@ -33,7 +33,7 @@ fn no_policy_evicts_while_holes_remain() {
         let cfg = CacheConfig::new(8, 4);
         for mut cache in policies(cfg, cores) {
             for (i, &b) in blocks.iter().enumerate() {
-                cache.access(&Access::demand(
+                cache.access(&LlcAccess::demand(
                     Pc::new(0x400),
                     BlockAddr::new(b),
                     AccessKind::Read,
@@ -97,21 +97,20 @@ fn dueling_map_partitions_sets() {
 /// PLRU victims are always valid ways and never the way just touched.
 #[test]
 fn plru_victim_is_sane() {
-    use sdbp_cache::policy::{LineState, ReplacementPolicy, Victim};
+    use sdbp_cache::policy::{ReplacementPolicy, Victim};
     let mut rng = Rng64::seed_from_u64(0x9e9_0004);
     for _ in 0..CASES {
         let touches: Vec<usize> =
             (0..rng.gen_range(1usize..200)).map(|_| rng.gen_range(0usize..8)).collect();
         let cfg = CacheConfig::new(1, 8);
         let mut p = PseudoLru::new(cfg);
-        let a = Access::demand(Pc::new(0), BlockAddr::new(0), AccessKind::Read, 0);
-        let lines = [LineState { valid: true, block: BlockAddr::new(0), dirty: false }; 8];
+        let a = LlcAccess::demand(Pc::new(0), BlockAddr::new(0), AccessKind::Read, 0);
         for w in 0..8 {
             p.on_fill(0, w, &a);
         }
         for &t in &touches {
             p.on_hit(0, t, &a);
-            match p.choose_victim(0, &lines, &a) {
+            match p.choose_victim(0, None, &a) {
                 Victim::Way(w) => {
                     assert!(w < 8);
                     assert_ne!(w, t, "PLRU chose the way just touched");
@@ -137,7 +136,7 @@ fn policies_are_deterministic() {
                 .enumerate()
                 .map(|(i, &b)| {
                     cache
-                        .access(&Access::demand(
+                        .access(&LlcAccess::demand(
                             Pc::new(0x400),
                             BlockAddr::new(b),
                             AccessKind::Read,

@@ -17,9 +17,8 @@
 //! result unchanged.
 
 use crate::plan::{PlanError, SamplingPlan};
-use sdbp_cache::kernel::{ShardError, ShardPlan, ShardRunner};
+use sdbp_cache::kernel::{shard_queue, ShardError, ShardPlan, ShardRunner};
 use sdbp_cache::meta::HitMap;
-use sdbp_cache::policy::Access;
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::replay::{replay, replay_segment, SegmentError};
 use sdbp_cache::{Cache, SampledReplayResult};
@@ -292,35 +291,25 @@ pub fn replay_sampled_sharded<R: ShardRunner>(
     // persistent cache, returning per-segment measured bits in shard-
     // local stream order.
     let segments = &segments;
-    // sdbp-allow(flat-metadata): per-shard, per-segment hit bits — variable-length, built once per call
-    let tasks: Vec<Box<dyn FnOnce() -> Vec<Vec<bool>> + Send + '_>> = (0..shard_plan.shards())
+    let tasks: Vec<Box<dyn FnOnce() -> Vec<HitMap> + Send + '_>> = (0..shard_plan.shards())
         .map(|shard| {
             Box::new(move || {
                 let mut cache = fresh();
-                // sdbp-allow(flat-metadata): per-segment bit runs, not set×lane metadata
-                let mut measured: Vec<Vec<bool>> = Vec::with_capacity(segments.len());
+                let mut measured: Vec<HitMap> = Vec::with_capacity(segments.len());
                 for seg in segments {
-                    let mut bits = Vec::new();
-                    let span =
-                        stream.get(seg.warmup_start..seg.measure_end).unwrap_or_default();
-                    for (offset, a) in span.iter().enumerate() {
-                        if shard_plan.shard_of(a.block.set_index(sets)) != shard {
-                            continue;
-                        }
-                        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-                        let hit = cache.access(&access).is_hit();
-                        if seg.warmup_start + offset >= seg.measure_start {
-                            bits.push(hit);
-                        }
-                    }
+                    let warmup =
+                        stream.get(seg.warmup_start..seg.measure_start).unwrap_or_default();
+                    let span = stream.get(seg.measure_start..seg.measure_end).unwrap_or_default();
+                    cache.run(&shard_queue(warmup, shard_plan, shard), None, None);
+                    let mut hits = HitMap::new();
+                    cache.run(&shard_queue(span, shard_plan, shard), Some(&mut hits), None);
                     // Segment boundary: flush efficiency bookkeeping the
                     // same way `replay_segment` does on the serial path.
                     cache.finish();
-                    measured.push(bits);
+                    measured.push(hits);
                 }
                 measured
-                // sdbp-allow(flat-metadata): per-segment bit runs, not set×lane metadata
-            }) as Box<dyn FnOnce() -> Vec<Vec<bool>> + Send + '_>
+            }) as Box<dyn FnOnce() -> Vec<HitMap> + Send + '_>
         })
         .collect();
     let shard_bits = runner.run(tasks);
@@ -340,7 +329,7 @@ pub fn replay_sampled_sharded<R: ShardRunner>(
                 .and_then(|segs| segs.get(seg_index))
                 .zip(cursors.get_mut(shard))
                 .and_then(|(bits, cursor)| {
-                    let bit = bits.get(*cursor).copied();
+                    let bit = bits.get(*cursor);
                     *cursor += 1;
                     bit
                 });

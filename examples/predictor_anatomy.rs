@@ -66,12 +66,12 @@ fn main() {
         let block = BlockAddr::new((10_000 + i * 16) << 11);
         let dies = i % 20 < 11; // 55% die after `ambiguous` touches them
         // Reftrace sees the block's life directly (line 0 reused for brevity).
-        let a = sdbp_suite::cache::Access::demand(ambiguous, block, AccessKind::Read, 0);
+        let a = sdbp_suite::cache::LlcAccess::demand(ambiguous, block, AccessKind::Read, 0);
         reftrace.on_fill(0, 0, &a);
         if dies {
             reftrace.on_evict(0, 0, block, &a);
         } else {
-            let b = sdbp_suite::cache::Access::demand(next, block, AccessKind::Read, 0);
+            let b = sdbp_suite::cache::LlcAccess::demand(next, block, AccessKind::Read, 0);
             reftrace.on_hit(0, 0, &b);
             reftrace.on_evict(0, 0, block, &b);
         }

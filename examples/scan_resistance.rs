@@ -8,7 +8,7 @@
 
 use sdbp_suite::cache::recorder::record;
 use sdbp_suite::cache::replay::replay;
-use sdbp_suite::cache::{Cache, CacheConfig};
+use sdbp_suite::cache::{Cache, CacheConfig, Policy};
 use sdbp_suite::cpu::CoreModel;
 use sdbp_suite::replacement::{Dip, Drrip};
 use sdbp_suite::sdbp::policies;
@@ -30,10 +30,10 @@ fn main() {
     println!("policy            misses      MPKI     IPC   bypassed");
     println!("------------------------------------------------------");
     let mut baseline_misses = 0;
-    let policies: Vec<(&str, Box<dyn sdbp_suite::cache::ReplacementPolicy>)> = vec![
-        ("LRU", Box::new(sdbp_suite::cache::policy::Lru::new(llc.sets, llc.ways))),
-        ("DIP", Box::new(Dip::new(llc, 1))),
-        ("RRIP", Box::new(Drrip::new(llc, 1, 1))),
+    let policies: Vec<(&str, Policy)> = vec![
+        ("LRU", Policy::new(sdbp_suite::cache::policy::Lru::new(llc.sets, llc.ways))),
+        ("DIP", Policy::new(Dip::new(llc, 1))),
+        ("RRIP", Policy::new(Drrip::new(llc, 1, 1))),
         ("Sampler (LRU)", policies::sampler_lru(llc)),
         ("Sampler (random)", policies::sampler_random(llc)),
     ];

@@ -8,7 +8,7 @@
 
 use sdbp_suite::cache::recorder::{merge_streams, record_for_core, RecordedWorkload};
 use sdbp_suite::cache::replay::{replay, split_hits_by_core};
-use sdbp_suite::cache::{Cache, CacheConfig, ReplacementPolicy};
+use sdbp_suite::cache::{Cache, CacheConfig, Policy};
 use sdbp_suite::cpu::{weighted_ipc, CoreModel};
 use sdbp_suite::replacement::Drrip;
 use sdbp_suite::sdbp::policies;
@@ -45,7 +45,7 @@ fn main() {
         })
         .collect();
 
-    let run = |policy: Box<dyn ReplacementPolicy>| -> (Vec<f64>, f64) {
+    let run = |policy: Policy| -> (Vec<f64>, f64) {
         let mut cache = Cache::with_policy(llc, policy);
         let result = replay(&merged, &mut cache);
         let per_core = split_hits_by_core(&merged, &result.hits, services.len())
@@ -60,8 +60,8 @@ fn main() {
     };
 
     let (lru_ipcs, lru_weighted) =
-        run(Box::new(sdbp_suite::cache::policy::Lru::new(llc.sets, llc.ways)));
-    let (rrip_ipcs, rrip_weighted) = run(Box::new(Drrip::new(llc, 4, 1)));
+        run(Policy::new(sdbp_suite::cache::policy::Lru::new(llc.sets, llc.ways)));
+    let (rrip_ipcs, rrip_weighted) = run(Policy::new(Drrip::new(llc, 4, 1)));
     let (sdbp_ipcs, sdbp_weighted) = run(policies::sampler_lru(llc));
 
     println!("core  role             alone-IPC  LRU     TA-DRRIP  Sampler");

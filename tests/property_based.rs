@@ -1,7 +1,6 @@
 //! Property-style tests over the core invariants, driven by the in-repo
 //! deterministic RNG (fixed seeds, exact reproduction, offline build).
 
-use sdbp_suite::cache::policy::Access;
 use sdbp_suite::cache::recorder::LlcAccess;
 use sdbp_suite::cache::{Cache, CacheConfig, HitMap};
 use sdbp_suite::harness::runner::PolicyKind;
@@ -18,10 +17,10 @@ fn random_stream(rng: &mut Rng64, max_len: usize) -> Vec<(u8, u16, bool)> {
         .collect()
 }
 
-fn to_accesses(raw: &[(u8, u16, bool)]) -> Vec<Access> {
+fn to_accesses(raw: &[(u8, u16, bool)]) -> Vec<LlcAccess> {
     raw.iter()
         .map(|&(pc, block, w)| {
-            Access::demand(
+            LlcAccess::demand(
                 Pc::new(0x400 + u64::from(pc) * 4),
                 BlockAddr::new(u64::from(block)),
                 if w { AccessKind::Write } else { AccessKind::Read },
@@ -215,5 +214,243 @@ fn replay_is_deterministic_for_all_policies() {
             let rb = sdbp_suite::cache::replay(&stream, &mut b);
             assert_eq!(&ra, &rb, "{} not deterministic", policy.label());
         }
+    }
+}
+
+/// A plain reference model written straight from DESIGN.md §2: true LRU
+/// as per-set recency lists, and the paper's SDBP — a 32-set, 12-way
+/// LRU sampler of 15-bit partial tags and PCs training three skewed
+/// tables of 2-bit counters (dead when the sum reaches 8), driving
+/// dead-block replacement and bypass over LRU. No `MetaPlane`, no
+/// registry, no way numbers: every set is a list ordered most- to
+/// least-recently used. The optimized kernel must agree with it access by
+/// access.
+mod reference {
+    use sdbp_suite::predictors::hash::skewed_hash;
+    use std::collections::HashMap;
+
+    const PARTIAL_BITS: u32 = 15;
+    const TABLES: u32 = 3;
+    const TABLE_BITS: u32 = 12;
+    const COUNTER_MAX: u8 = 3;
+    const THRESHOLD: u32 = 8;
+    const SAMPLER_SETS: usize = 32;
+    const SAMPLER_WAYS: usize = 12;
+
+    fn partial(x: u64) -> u64 {
+        x & ((1 << PARTIAL_BITS) - 1)
+    }
+
+    /// True LRU: each set is a list of blocks, most recent first.
+    pub struct TrueLru {
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+    }
+
+    impl TrueLru {
+        pub fn new(sets: usize, ways: usize) -> Self {
+            TrueLru { ways, sets: vec![Vec::new(); sets] }
+        }
+
+        /// Presents one access; returns whether it hit.
+        pub fn access(&mut self, block: u64) -> bool {
+            let sets = self.sets.len() as u64;
+            let row = &mut self.sets[(block % sets) as usize];
+            let hit = match row.iter().position(|&b| b == block) {
+                Some(i) => {
+                    row.remove(i);
+                    true
+                }
+                None => {
+                    if row.len() == self.ways {
+                        row.pop();
+                    }
+                    false
+                }
+            };
+            row.insert(0, block);
+            hit
+        }
+    }
+
+    /// One resident LLC block and its predicted-dead bit.
+    struct Line {
+        block: u64,
+        dead: bool,
+    }
+
+    /// One sampler entry.
+    struct Entry {
+        tag: u64,
+        pc: u64,
+        dead: bool,
+    }
+
+    /// The paper's SDBP over LRU, with the coverage and false-positive
+    /// accounting of §VII-C (a false positive is a hit on a block
+    /// predicted dead, or a re-access within one cache's worth of
+    /// accesses of a block that was bypassed or evicted as dead).
+    pub struct PaperSdbp {
+        ways: usize,
+        sets: Vec<Vec<Line>>,
+        sampler: Vec<Vec<Entry>>,
+        stride: usize,
+        tables: Vec<Vec<u8>>,
+        clock: u64,
+        left: HashMap<u64, u64>,
+        pub predictions: u64,
+        pub positives: u64,
+        pub false_positives: u64,
+    }
+
+    impl PaperSdbp {
+        pub fn new(sets: usize, ways: usize) -> Self {
+            let sampler_sets = SAMPLER_SETS.min(sets);
+            PaperSdbp {
+                ways,
+                sets: (0..sets).map(|_| Vec::new()).collect(),
+                sampler: (0..sampler_sets).map(|_| Vec::new()).collect(),
+                stride: sets / sampler_sets,
+                tables: vec![vec![0; 1 << TABLE_BITS]; TABLES as usize],
+                clock: 0,
+                left: HashMap::new(),
+                predictions: 0,
+                positives: 0,
+                false_positives: 0,
+            }
+        }
+
+        fn predict(&self, pc: u64) -> bool {
+            let sum: u32 = (0..TABLES)
+                .map(|t| u32::from(self.tables[t as usize][skewed_hash(pc, t, TABLE_BITS)]))
+                .sum();
+            sum >= THRESHOLD
+        }
+
+        fn train(&mut self, pc: u64, dead: bool) {
+            for t in 0..TABLES {
+                let c = &mut self.tables[t as usize][skewed_hash(pc, t, TABLE_BITS)];
+                *c = if dead { (*c + 1).min(COUNTER_MAX) } else { c.saturating_sub(1) };
+            }
+        }
+
+        /// The sampler sees every access to a sampled set: a hit trains
+        /// the entry's previous PC live, a miss evicts the LRU entry (or
+        /// the predicted-dead entry closest to LRU) and trains its PC dead.
+        fn sample(&mut self, set: usize, block: u64, pc: u64) {
+            if !set.is_multiple_of(self.stride) || set / self.stride >= self.sampler.len() {
+                return;
+            }
+            let s = set / self.stride;
+            let tag = partial(block >> self.sets.len().trailing_zeros());
+            let pc = partial(pc >> 2);
+            if let Some(i) = self.sampler[s].iter().position(|e| e.tag == tag) {
+                let prev = self.sampler[s].remove(i).pc;
+                self.train(prev, false);
+            } else if self.sampler[s].len() == SAMPLER_WAYS {
+                let row = &self.sampler[s];
+                let victim = row.iter().rposition(|e| e.dead).unwrap_or(row.len() - 1);
+                let prev = self.sampler[s].remove(victim).pc;
+                self.train(prev, true);
+            }
+            let dead = self.predict(pc);
+            self.sampler[s].insert(0, Entry { tag, pc, dead });
+        }
+
+        /// Presents one access; returns whether it hit.
+        pub fn access(&mut self, block: u64, pc: u64) -> bool {
+            self.clock += 1;
+            let set = (block % self.sets.len() as u64) as usize;
+            let hit = self.sets[set].iter().position(|l| l.block == block);
+            if hit.is_none() {
+                if let Some(when) = self.left.remove(&block) {
+                    let window = (self.sets.len() * self.ways) as u64;
+                    self.false_positives += u64::from(self.clock - when <= window);
+                }
+            }
+            self.sample(set, block, pc);
+            let dead = self.predict(partial(pc >> 2));
+            self.predictions += 1;
+            self.positives += u64::from(dead);
+            let row = &mut self.sets[set];
+            match hit {
+                Some(i) => {
+                    let line = row.remove(i);
+                    self.false_positives += u64::from(line.dead);
+                    row.insert(0, Line { block, dead });
+                }
+                None if dead => {
+                    self.left.insert(block, self.clock);
+                }
+                None => {
+                    if row.len() == self.ways {
+                        let victim = row.iter().rposition(|l| l.dead).unwrap_or(row.len() - 1);
+                        let line = row.remove(victim);
+                        if line.dead {
+                            self.left.insert(line.block, self.clock);
+                        }
+                    }
+                    row.insert(0, Line { block, dead: false });
+                }
+            }
+            hit.is_some()
+        }
+    }
+}
+
+/// A stream with learnable structure: hot blocks reused by a few PCs,
+/// one-touch streaming blocks from their own PCs, and random noise.
+fn structured_stream(rng: &mut Rng64, len: usize) -> Vec<LlcAccess> {
+    let mut next_stream = 1u64 << 20;
+    (0..len)
+        .map(|_| {
+            let (pc, block) = match rng.gen_range(0u64..10) {
+                0..=4 => (0x400 + 4 * rng.gen_range(0u64..4), rng.gen_range(0u64..192)),
+                5..=7 => {
+                    next_stream += 1;
+                    (0x800 + 4 * rng.gen_range(0u64..2), next_stream)
+                }
+                _ => (0xc00 + 4 * rng.gen_range(0u64..64), rng.gen_range(0u64..4096)),
+            };
+            let kind = if rng.gen_bool(0.2) { AccessKind::Write } else { AccessKind::Read };
+            LlcAccess::demand(Pc::new(pc), BlockAddr::new(block), kind, 0)
+        })
+        .collect()
+}
+
+/// Differential oracle for the replay kernel: `lru` and the paper's
+/// `sampler`, built through the registry and replayed through the one
+/// replay loop, must reproduce the reference model's hit map bit for bit
+/// — and for SDBP also its coverage and false-positive counts — on
+/// fixed-seed streams over varied geometries.
+#[test]
+fn kernel_matches_the_plain_reference_model() {
+    use sdbp_suite::cache::replay::replay;
+    let registry = sdbp_suite::sdbp::registry::standard();
+    let mut rng = Rng64::seed_from_u64(0x5017_0007);
+    for case in 0..CASES / 2 {
+        let sets = 1usize << rng.gen_range(0u32..8);
+        let ways = rng.gen_range(1usize..17);
+        let cfg = CacheConfig::new(sets, ways);
+        let stream = structured_stream(&mut rng, 3_000);
+
+        let mut lru = reference::TrueLru::new(sets, ways);
+        let want: HitMap = stream.iter().map(|a| lru.access(a.block.raw())).collect();
+        let got = replay(&stream, &mut Cache::with_policy(cfg, registry.build_str("lru", cfg, 1).unwrap()));
+        assert_eq!(got.hits, want, "case {case}: lru {sets}x{ways} diverged from true LRU");
+
+        let mut sdbp = reference::PaperSdbp::new(sets, ways);
+        let want: HitMap =
+            stream.iter().map(|a| sdbp.access(a.block.raw(), a.pc.raw())).collect();
+        let policy = registry.build_str("sampler", cfg, 1).unwrap();
+        let got = replay(&stream, &mut Cache::with_policy(cfg, policy));
+        assert_eq!(got.hits, want, "case {case}: sampler {sets}x{ways} hit map diverged");
+        let s = &got.stats;
+        assert_eq!(
+            (s.predictions, s.predictions_dead, s.false_positives),
+            (sdbp.predictions, sdbp.positives, sdbp.false_positives),
+            "case {case}: sampler {sets}x{ways} predictor accounting diverged"
+        );
+        assert!(s.bypasses > 0 || sets * ways < 8, "case {case}: SDBP never bypassed");
     }
 }
