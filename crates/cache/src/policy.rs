@@ -276,16 +276,13 @@ impl Lru {
 
     /// Inserts `(set, way)` at the LRU position (for BIP/LIP-style
     /// insertion): gives it a stamp older than every other line in the set.
+    #[inline]
     pub fn demote_to_lru(&mut self, set: usize, way: usize) {
-        let min = self
-            .stamps
-            .row(set)
-            .iter()
-            .enumerate()
-            .filter(|&(w, _)| w != way)
-            .map(|(_, &s)| s)
-            .min()
-            .unwrap_or(0);
+        let row = self.stamps.row(set);
+        // The smallest other stamp (0 in a one-way set), with `way` itself
+        // keyed out rather than skipped so the reduction has no branch.
+        let key = |w: usize| row[w] | u64::from(w == way).wrapping_neg();
+        let min = if row.len() > 1 { key(argmin_by(row.len(), key)) } else { 0 };
         self.stamps[(set, way)] = min.saturating_sub(1);
     }
 }

@@ -29,9 +29,15 @@ fn hash8(x: u64) -> usize {
     (mix64(x) & ((1 << INDEX_BITS) - 1)) as usize
 }
 
+/// The 8-bit hashed PC a line keeps (the table's row).
 #[inline]
-fn table_index(pc: Pc, block: BlockAddr) -> usize {
-    (hash8(pc.raw() >> 2) << INDEX_BITS) | hash8(block.raw())
+fn pc_hash(pc: Pc) -> u8 {
+    hash8(pc.raw() >> 2) as u8
+}
+
+#[inline]
+fn table_index(pc_hash: u8, block: BlockAddr) -> usize {
+    (usize::from(pc_hash) << INDEX_BITS) | hash8(block.raw())
 }
 
 #[derive(Copy, Clone, Default, Debug)]
@@ -46,9 +52,8 @@ struct LvpEntry {
 #[derive(Clone, Debug)]
 pub struct Lvp {
     table: Vec<LvpEntry>,
-    /// Per-line: 8-bit hashed fill PC (kept wider here; hardware stores 8
-    /// bits, we store the index directly).
-    fill_pc: MetaPlane<Pc>,
+    /// Per-line: 8-bit hashed fill PC, as the hardware stores it.
+    fill_pc: MetaPlane<u8>,
     /// Per-line access count this generation (including the fill).
     count: MetaPlane<u8>,
 }
@@ -58,14 +63,14 @@ impl Lvp {
     pub fn new(config: CacheConfig) -> Self {
         Lvp {
             table: vec![LvpEntry::default(); 1 << (2 * INDEX_BITS)],
-            fill_pc: MetaPlane::new(config.sets, config.ways, Pc::new(0)),
+            fill_pc: MetaPlane::new(config.sets, config.ways, pc_hash(Pc::new(0))),
             count: MetaPlane::new(config.sets, config.ways, 0),
         }
     }
 
     #[inline]
-    fn entry(&self, pc: Pc, block: BlockAddr) -> LvpEntry {
-        self.table[table_index(pc, block)]
+    fn entry(&self, pc_hash: u8, block: BlockAddr) -> LvpEntry {
+        self.table[table_index(pc_hash, block)]
     }
 
     #[inline]
@@ -90,13 +95,13 @@ impl DeadBlockPredictor for Lvp {
     fn on_miss(&mut self, _set: usize, access: &LlcAccess) -> bool {
         // Dead on arrival: previous generations were never re-accessed
         // after the fill.
-        let e = self.entry(access.pc, access.block);
+        let e = self.entry(pc_hash(access.pc), access.block);
         e.confident && e.threshold == 1
     }
 
     #[inline]
     fn on_fill(&mut self, _set: usize, line: usize, access: &LlcAccess) {
-        self.fill_pc[line] = access.pc;
+        self.fill_pc[line] = pc_hash(access.pc);
         self.count[line] = 1; // the fill counts as the first access
     }
 
@@ -122,7 +127,8 @@ struct AipEntry {
 #[derive(Clone, Debug)]
 pub struct Aip {
     table: Vec<AipEntry>,
-    fill_pc: MetaPlane<Pc>,
+    /// Per-line: 8-bit hashed fill PC.
+    fill_pc: MetaPlane<u8>,
     block_of: MetaPlane<BlockAddr>,
     last_tick: MetaPlane<u32>,
     max_interval: MetaPlane<u16>,
@@ -136,7 +142,7 @@ impl Aip {
     pub fn new(config: CacheConfig) -> Self {
         Aip {
             table: vec![AipEntry::default(); 1 << (2 * INDEX_BITS)],
-            fill_pc: MetaPlane::new(config.sets, config.ways, Pc::new(0)),
+            fill_pc: MetaPlane::new(config.sets, config.ways, pc_hash(Pc::new(0))),
             block_of: MetaPlane::new(config.sets, config.ways, BlockAddr::new(0)),
             last_tick: MetaPlane::new(config.sets, config.ways, 0),
             max_interval: MetaPlane::new(config.sets, config.ways, 0),
@@ -174,7 +180,7 @@ impl DeadBlockPredictor for Aip {
 
     #[inline]
     fn on_fill(&mut self, set: usize, line: usize, access: &LlcAccess) {
-        self.fill_pc[line] = access.pc;
+        self.fill_pc[line] = pc_hash(access.pc);
         self.block_of[line] = access.block;
         self.last_tick[line] = self.set_tick[set];
         self.max_interval[line] = 0;

@@ -22,36 +22,7 @@ use sdbp_cache::{CacheConfig, CacheStats, MetaPlane};
 use sdbp_trace::BlockAddr;
 use std::any::Any;
 use std::borrow::Cow;
-// sdbp-allow(deterministic-iteration): shadow tag store is lookup/remove/retain only
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A fixed multiplicative hasher for the shadow map's block keys: one
-/// 64×64→128-bit multiply folded to 64 bits. Deterministic (no per-process
-/// seed) and far cheaper than SipHash; the keys are block numbers the
-/// simulator generates, not adversarial input.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct BlockHasher(u64);
-
-impl Hasher for BlockHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let product = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Configuration of the DBRB wrapper.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -66,78 +37,190 @@ impl Default for DbrbConfig {
     }
 }
 
+/// Key of a free shadow slot (no block has it; see `sdbp_cache::cache::INVALID`).
+const FREE: u64 = u64::MAX;
+
+/// The fixed multiplicative hash of a block key: one 64×64→128-bit
+/// multiply folded to 64 bits. Deterministic (no per-process seed) and far
+/// cheaper than SipHash; the keys are block numbers the simulator
+/// generates, not adversarial input.
+#[inline]
+fn mix(key: u64) -> u64 {
+    let product = u128::from(key) * 0x9e37_79b9_7f4a_7c15;
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// One generation of the shadow: an open-addressed table (linear
+/// probing, backward-shift deletion) of `(block, clock)` entries, plus a
+/// bit filter over the same keys. Every key in the table has its filter
+/// bit set, so a clear bit proves absence without touching the table.
+#[derive(Clone, Debug)]
+struct Generation {
+    slots: Vec<(u64, u64)>,
+    filter: Vec<u64>,
+}
+
+impl Generation {
+    /// A generation for up to `keys` entries: the table stays at most
+    /// half full and the filter at most one bit in sixteen.
+    fn new(keys: u64) -> Self {
+        let slots = (2 * keys).next_power_of_two().max(64) as usize;
+        let bits = (16 * keys).next_power_of_two().max(64);
+        Generation { slots: vec![(FREE, 0); slots], filter: vec![0; (bits / 64) as usize] }
+    }
+
+    /// The filter word and bit of a key's hash.
+    #[inline]
+    fn filter_slot(&self, hash: u64) -> (usize, u64) {
+        let bit = hash as usize & (self.filter.len() * 64 - 1);
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// The table slot where a key's probe run starts.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    #[inline]
+    fn insert(&mut self, key: u64, when: u64) {
+        let hash = mix(key);
+        let (word, bit) = self.filter_slot(hash);
+        self.filter[word] |= bit;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.0 == key || slot.0 == FREE {
+                *slot = (key, when);
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The slot holding `key`, if any.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        let hash = mix(key);
+        let (word, bit) = self.filter_slot(hash);
+        if self.filter[word] & bit == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            match self.slots[i].0 {
+                FREE => return None,
+                k if k == key => return Some(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Removes `key`'s entry, returning when it left.
+    #[inline]
+    fn take(&mut self, key: u64) -> Option<u64> {
+        let i = self.find(key)?;
+        let when = self.slots[i].1;
+        self.remove_at(i);
+        Some(when)
+    }
+
+    /// Frees slot `hole`, pulling later entries of its probe run back so
+    /// every remaining key stays reachable from its home slot.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let key = self.slots[i].0;
+            if key == FREE {
+                break;
+            }
+            // The entry stays put when its home lies cyclically in
+            // (hole, i]; otherwise it may move back into the hole.
+            let home = self.home(mix(key));
+            let stays = if hole <= i { hole < home && home <= i } else { hole < home || home <= i };
+            if !stays {
+                self.slots[hole] = self.slots[i];
+                hole = i;
+            }
+        }
+        self.slots[hole].0 = FREE;
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill((FREE, 0));
+        self.filter.fill(0);
+    }
+}
+
+/// Generations the shadow keeps; each spans a quarter window, so the
+/// generation dropped at a rotation is always more than a window old.
+const GENERATIONS: usize = 5;
+
 /// Blocks recently bypassed or evicted as dead, each with the clock at
-/// which it left the cache.
+/// which it left the cache, kept in generations of a quarter window each.
 ///
-/// A hash map holds the entries. A bit filter over the same keys answers
-/// the common lookup — a missing block that never left recently — without
-/// touching the map: every key in the map has its bit set, so a clear bit
-/// proves absence and the answer stays exact.
+/// Blocks leave at most one per clock tick, so a generation never holds
+/// more than its span of keys. When the youngest generation has spanned
+/// its quarter window, the oldest is cleared and becomes the youngest:
+/// every entry dropped that way left over four quarter-windows ago, so it
+/// could never count again, and no per-entry pruning is needed. Short
+/// generations keep the table that takes every insert small enough to
+/// stay cache-resident.
 #[derive(Clone, Debug)]
 struct Shadow {
-    // sdbp-allow(deterministic-iteration): lookup/remove/retain, and a key walk that only sets filter bits
-    map: HashMap<BlockAddr, u64, BuildHasherDefault<BlockHasher>>,
-    /// One bit per hash bucket; set for every key inserted since the last
-    /// rebuild.
-    filter: Vec<u64>,
+    generations: [Generation; GENERATIONS],
+    /// Index of the youngest generation.
+    young: usize,
+    /// Clock at which the youngest generation started.
+    since: u64,
+    /// Clock ticks each generation spans.
+    span: u64,
     /// Re-accesses within this many clock ticks count.
     window: u64,
 }
 
 impl Shadow {
     fn new(window: u64) -> Self {
-        // Sixteen bits per windowful of keys keeps the filter mostly clear
-        // between rebuilds (the map is pruned at 1.5 windows of keys).
-        let bits = (16 * window).next_power_of_two().max(64);
-        // sdbp-allow(deterministic-iteration): lookup/remove/retain only; the key walk in `age` just sets filter bits
-        Shadow { map: HashMap::default(), filter: vec![0; (bits / 64) as usize], window }
+        let span = window.div_ceil(GENERATIONS as u64 - 1).max(1);
+        Shadow {
+            generations: std::array::from_fn(|_| Generation::new(span)),
+            young: 0,
+            since: 0,
+            span,
+            window,
+        }
     }
 
-    /// The word and bit of a `words`-word filter that `block` maps to.
-    #[inline]
-    fn slot(words: usize, block: BlockAddr) -> (usize, u64) {
-        let mut h = BlockHasher::default();
-        h.write_u64(block.raw());
-        let bit = h.finish() as usize & (words * 64 - 1);
-        (bit / 64, 1 << (bit % 64))
-    }
-
+    /// Records that `block` left at `when`. The block must have no entry:
+    /// DBRB records a block only as it leaves the cache, and takes its
+    /// entry at its next miss, before it can leave again.
     #[inline]
     fn insert(&mut self, block: BlockAddr, when: u64) {
-        let (word, bit) = Self::slot(self.filter.len(), block);
-        self.filter[word] |= bit;
-        self.map.insert(block, when);
+        debug_assert!(
+            self.generations.iter().all(|g| g.find(block.raw()).is_none()),
+            "block {block} recorded twice"
+        );
+        self.generations[self.young].insert(block.raw(), when);
     }
 
     /// Removes `block`'s entry, returning when it left.
     #[inline]
     fn take(&mut self, block: BlockAddr) -> Option<u64> {
-        let (word, bit) = Self::slot(self.filter.len(), block);
-        if self.filter[word] & bit == 0 {
-            return None;
-        }
-        self.map.remove(&block)
+        self.generations.iter_mut().find_map(|g| g.take(block.raw()))
     }
 
-    /// Once the map holds more than 1.5 windows of keys, drops the
-    /// entries too old to ever count again (later lookups happen at a
-    /// later clock than `now`) and rebuilds the filter from the survivors.
-    /// Pruning changes no answer, only the map's size.
+    /// Starts a new generation, in place of the oldest, once the youngest
+    /// has spanned its share of the window.
+    #[inline]
     fn age(&mut self, now: u64) {
-        // At most one key arrives per tick, so a prune leaves at most one
-        // window of keys, and the next comes after another half window of
-        // arrivals: the map stays small (cache-resident) at an amortized
-        // three entry visits per arrival.
-        if self.map.len() as u64 <= self.window + self.window / 2 {
-            return;
-        }
-        let cutoff = now.saturating_sub(self.window);
-        self.map.retain(|_, &mut when| when > cutoff);
-        self.filter.fill(0);
-        let words = self.filter.len();
-        for &block in self.map.keys() {
-            let (word, bit) = Self::slot(words, block);
-            self.filter[word] |= bit;
+        if now - self.since >= self.span {
+            self.young = (self.young + 1) % GENERATIONS;
+            self.generations[self.young].clear();
+            self.since = now;
         }
     }
 }
@@ -150,6 +233,9 @@ pub struct DeadBlockReplacement<B, P> {
     config: DbrbConfig,
     ways: usize,
     dead: MetaPlane<bool>,
+    /// Lines of each set whose dead bit is set, so a miss in a set with
+    /// none skips the dead-victim search.
+    dead_in_set: Vec<u32>,
     last_touch: MetaPlane<u64>,
     clock: u64,
     /// Dead-on-arrival prediction for the in-flight miss.
@@ -181,6 +267,7 @@ impl<B: ReplacementPolicy, P: DeadBlockPredictor> DeadBlockReplacement<B, P> {
             config,
             ways: cache.ways,
             dead: MetaPlane::new(cache.sets, cache.ways, false),
+            dead_in_set: vec![0; cache.sets],
             last_touch: MetaPlane::new(cache.sets, cache.ways, 0),
             clock: 0,
             incoming_dead: false,
@@ -211,6 +298,14 @@ impl<B: ReplacementPolicy, P: DeadBlockPredictor> DeadBlockReplacement<B, P> {
         set * self.ways + way
     }
 
+    /// Sets `line`'s dead bit, keeping its set's count in step.
+    #[inline]
+    fn set_dead(&mut self, set: usize, line: usize, dead: bool) {
+        let count = &mut self.dead_in_set[set];
+        *count = *count + u32::from(dead) - u32::from(self.dead[line]);
+        self.dead[line] = dead;
+    }
+
     #[inline]
     fn note_prediction(&mut self, dead: bool) {
         self.stats.predictions += 1;
@@ -222,6 +317,11 @@ impl<B: ReplacementPolicy, P: DeadBlockPredictor> DeadBlockReplacement<B, P> {
     /// at `u64::MAX` (no line is touched at that clock value).
     #[inline]
     fn dead_victim(&self, set: usize) -> Option<usize> {
+        // A predictor that re-evaluates lines lazily can find a dead line
+        // in any set; otherwise only the dead bits count.
+        if self.dead_in_set[set] == 0 && self.predictor.reassess(set, self.line(set, 0)).is_none() {
+            return None;
+        }
         let key = |way: usize| {
             let line = self.line(set, way);
             let dead = self.predictor.reassess(set, line).unwrap_or(self.dead[line]);
@@ -257,7 +357,7 @@ impl<B: ReplacementPolicy + 'static, P: DeadBlockPredictor + 'static> Replacemen
         self.stats.false_positives += u64::from(self.dead[line]);
         let dead = self.predictor.on_hit(set, line, access);
         self.note_prediction(dead);
-        self.dead[line] = dead;
+        self.set_dead(set, line, dead);
         self.last_touch[line] = self.clock;
         self.base.on_hit(set, way, access);
     }
@@ -292,7 +392,7 @@ impl<B: ReplacementPolicy + 'static, P: DeadBlockPredictor + 'static> Replacemen
         self.predictor.on_fill(set, line, access);
         // With bypass enabled a dead-on-arrival block never reaches here;
         // without it, the arrival prediction becomes the line's dead bit.
-        self.dead[line] = self.incoming_dead && !self.config.bypass;
+        self.set_dead(set, line, self.incoming_dead && !self.config.bypass);
         self.last_touch[line] = self.clock;
         self.base.on_fill(set, way, access);
     }
@@ -346,6 +446,40 @@ mod tests {
 
     fn acc(pc: u64, block: u64) -> LlcAccess {
         LlcAccess::demand(Pc::new(pc), BlockAddr::new(block), AccessKind::Read, 0)
+    }
+
+    #[test]
+    fn shadow_answers_like_a_plain_map() {
+        // Reference: a map that is never pruned; a take counts when the
+        // entry is at most one window old. The shadow table must give the
+        // same answer at every tick, through probe-run deletions, filter
+        // rebuilds and prunes.
+        use std::collections::BTreeMap;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for window in [1u64, 5, 16, 100] {
+            let mut shadow = Shadow::new(window);
+            let mut plain: BTreeMap<u64, u64> = BTreeMap::new();
+            for now in 1..40_000u64 {
+                let block = next() % (4 * window + 7);
+                let counted = shadow.take(BlockAddr::new(block)).is_some_and(|w| now - w <= window);
+                let expected = plain.remove(&block).is_some_and(|w| now - w <= window);
+                assert_eq!(counted, expected, "window {window}, tick {now}, block {block}");
+                shadow.age(now);
+                // As in DBRB, a block that has an entry cannot leave again
+                // before its entry is taken.
+                let left = next() % (4 * window + 7);
+                if next() % 3 != 0 && !plain.contains_key(&left) {
+                    shadow.insert(BlockAddr::new(left), now);
+                    plain.insert(left, now);
+                }
+            }
+        }
     }
 
     #[test]

@@ -110,14 +110,27 @@ impl DuelingMap {
         self.cores
     }
 
+    /// `set`'s position within its group. Groups are a power of two for
+    /// every policy the registry builds, which makes this a mask rather
+    /// than a division on every miss and fill.
+    #[inline]
+    fn slot(&self, set: usize) -> usize {
+        if self.group.is_power_of_two() {
+            set & (self.group - 1)
+        } else {
+            set % self.group
+        }
+    }
+
     /// The role of `set` from the perspective of `core`.
     ///
     /// Leader sets belonging to *other* cores are followers from this
     /// core's perspective (the TADIP-F scheme).
+    #[inline]
     pub fn role(&self, set: usize, core: usize) -> Role {
         debug_assert!(set < self.sets);
         debug_assert!(core < self.cores);
-        let slot = set % self.group;
+        let slot = self.slot(set);
         if slot == 2 * core {
             Role::LeaderBaseline
         } else if slot == 2 * core + 1 {
@@ -128,8 +141,9 @@ impl DuelingMap {
     }
 
     /// If `set` is a leader set for any core, returns `(core, role)`.
+    #[inline]
     pub fn leader_of(&self, set: usize) -> Option<(usize, Role)> {
-        let slot = set % self.group;
+        let slot = self.slot(set);
         if slot < 2 * self.cores {
             let core = slot / 2;
             let role =
