@@ -82,9 +82,9 @@ impl Generation {
         (hash >> 32) as usize & (self.slots.len() - 1)
     }
 
+    /// Records `key` (whose [`mix`] is `hash`) as having left at `when`.
     #[inline]
-    fn insert(&mut self, key: u64, when: u64) {
-        let hash = mix(key);
+    fn insert(&mut self, key: u64, hash: u64, when: u64) {
         let (word, bit) = self.filter_slot(hash);
         self.filter[word] |= bit;
         let mask = self.slots.len() - 1;
@@ -99,10 +99,9 @@ impl Generation {
         }
     }
 
-    /// The slot holding `key`, if any.
+    /// The slot holding `key` (whose [`mix`] is `hash`), if any.
     #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
-        let hash = mix(key);
+    fn find(&self, key: u64, hash: u64) -> Option<usize> {
         let (word, bit) = self.filter_slot(hash);
         if self.filter[word] & bit == 0 {
             return None;
@@ -120,8 +119,8 @@ impl Generation {
 
     /// Removes `key`'s entry, returning when it left.
     #[inline]
-    fn take(&mut self, key: u64) -> Option<u64> {
-        let i = self.find(key)?;
+    fn take(&mut self, key: u64, hash: u64) -> Option<u64> {
+        let i = self.find(key, hash)?;
         let when = self.slots[i].1;
         self.remove_at(i);
         Some(when)
@@ -200,17 +199,19 @@ impl Shadow {
     /// entry at its next miss, before it can leave again.
     #[inline]
     fn insert(&mut self, block: BlockAddr, when: u64) {
+        let (key, hash) = (block.raw(), mix(block.raw()));
         debug_assert!(
-            self.generations.iter().all(|g| g.find(block.raw()).is_none()),
+            self.generations.iter().all(|g| g.find(key, hash).is_none()),
             "block {block} recorded twice"
         );
-        self.generations[self.young].insert(block.raw(), when);
+        self.generations[self.young].insert(key, hash, when);
     }
 
     /// Removes `block`'s entry, returning when it left.
     #[inline]
     fn take(&mut self, block: BlockAddr) -> Option<u64> {
-        self.generations.iter_mut().find_map(|g| g.take(block.raw()))
+        let (key, hash) = (block.raw(), mix(block.raw()));
+        self.generations.iter_mut().find_map(|g| g.take(key, hash))
     }
 
     /// Starts a new generation, in place of the oldest, once the youngest

@@ -22,10 +22,18 @@ pub fn mix64(mut x: u64) -> u64 {
 #[inline]
 pub fn fold(x: u64, bits: u32) -> u64 {
     assert!((1..=32).contains(&bits), "fold width must be in 1..=32");
-    let mask = (1u64 << bits) - 1;
-    // A fixed chunk count (not "until the rest is zero"), so the loop
-    // trip count depends only on `bits`, never on the hashed value.
-    (0..64u32.div_ceil(bits)).fold(0, |out, chunk| out ^ ((x >> (chunk * bits)) & mask))
+    // XOR of `x >> k*bits` for every k, by doubling: after the step with
+    // shift `bits << s`, the sum covers k < 2^(s+1). Chunks shifted past
+    // bit 63 are zero, so the loop stops there — a trip count that
+    // depends only on `bits` (three steps for 12-bit indices), never on
+    // the hashed value.
+    let mut sum = x;
+    let mut shift = bits;
+    while shift < 64 {
+        sum ^= sum >> shift;
+        shift *= 2;
+    }
+    sum & ((1u64 << bits) - 1)
 }
 
 /// One of a family of independent hashes of `x` into `bits` bits.
@@ -51,6 +59,27 @@ pub fn skewed_hash(x: u64, table: u32, bits: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fold_is_the_xor_of_all_chunks() {
+        let chunked = |x: u64, bits: u32| {
+            let mask = (1u64 << bits) - 1;
+            let mut v = x;
+            let mut out = 0;
+            while v != 0 {
+                out ^= v & mask;
+                v >>= bits;
+            }
+            out
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2_000 {
+            x = mix64(x);
+            for bits in 1..=32 {
+                assert_eq!(fold(x, bits), chunked(x, bits), "x={x:#x} bits={bits}");
+            }
+        }
+    }
 
     #[test]
     fn fold_respects_width() {
