@@ -100,6 +100,7 @@ impl Frames {
         }
     }
 
+    #[inline(always)]
     fn row(&self, set: usize) -> &[u64] {
         let ways = self.config.ways;
         &self.tags[set * ways..(set + 1) * ways]
@@ -492,6 +493,21 @@ mod tests {
         run.run(&stream, Some(&mut hits), None);
         assert_eq!(hits, expected);
         assert_eq!(run.stats(), stepped.stats());
+    }
+
+    #[test]
+    fn dyn_policy_replays_like_the_static_one() {
+        let stream: Vec<LlcAccess> = (0..2_000u64).map(|i| acc(i * 13 % 97)).collect();
+        let cfg = CacheConfig::new(8, 4);
+        let dynamic: Box<dyn ReplacementPolicy> = Box::new(Lru::new(cfg.sets, cfg.ways));
+        let mut boxed = Cache::with_policy(cfg, dynamic);
+        let mut static_lru = Cache::new(cfg);
+        let (mut a, mut b) = (HitMap::new(), HitMap::new());
+        boxed.run(&stream, Some(&mut a), None);
+        static_lru.run(&stream, Some(&mut b), None);
+        assert_eq!(a, b);
+        assert_eq!(boxed.stats(), static_lru.stats());
+        assert_eq!(boxed.policy().name(), "LRU");
     }
 
     #[test]

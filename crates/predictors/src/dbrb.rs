@@ -289,11 +289,6 @@ impl<B: ReplacementPolicy, P: DeadBlockPredictor> DeadBlockReplacement<B, P> {
         self.stats
     }
 
-    /// The base policy.
-    pub fn base(&self) -> &B {
-        &self.base
-    }
-
     #[inline]
     fn line(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
@@ -616,6 +611,5 @@ mod tests {
             .expect("downcast failed");
         assert_eq!(policy.predictor().name(), "reftrace");
         assert_eq!(policy.predictor_stats(), PredictorStats::default());
-        assert_eq!(policy.base().name(), "LRU");
     }
 }
