@@ -203,7 +203,7 @@ impl Frames {
 /// A policy's monomorphized view of the cache: one implementation per
 /// concrete policy type, so [`Cache::run`] pays one virtual call per
 /// stream and none per access.
-pub(crate) trait Driver {
+pub(crate) trait PolicyLoop {
     fn access(&mut self, frames: &mut Frames, a: &LlcAccess) -> AccessOutcome;
 
     fn run(
@@ -217,7 +217,7 @@ pub(crate) trait Driver {
     fn policy(&self) -> &dyn ReplacementPolicy;
 }
 
-impl<P: ReplacementPolicy> Driver for P {
+impl<P: ReplacementPolicy> PolicyLoop for P {
     fn access(&mut self, frames: &mut Frames, a: &LlcAccess) -> AccessOutcome {
         frames.access(self, a)
     }

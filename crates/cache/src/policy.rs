@@ -150,7 +150,7 @@ impl<T: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<T> {
 /// let cache = Cache::with_policy(cfg, policy);
 /// assert_eq!(cache.policy().name(), "LRU");
 /// ```
-pub struct Policy(pub(crate) Box<dyn crate::cache::Driver>);
+pub struct Policy(pub(crate) Box<dyn crate::cache::PolicyLoop>);
 
 impl Policy {
     /// Packages `policy` with its monomorphized replay loop.
