@@ -200,8 +200,7 @@ pub fn argmin(values: &[u64]) -> usize {
 /// Nothing branches on the keys: each step turns its comparison into an
 /// all-ones/all-zeros mask and blends with it. (A plain `if`-select here
 /// is lowered to a mispredicting branch once the compiler sees the
-/// loop-carried chain.) The paper's 16-way rows reduce as a balanced tree,
-/// so the dependency chain is four merges deep instead of sixteen.
+/// loop-carried chain.)
 #[inline]
 pub fn argmin_by(len: usize, key: impl Fn(usize) -> u64) -> usize {
     /// Keeps `(v, i)` unless `(w, j)` is strictly smaller; `(v, i)` must
@@ -211,8 +210,28 @@ pub fn argmin_by(len: usize, key: impl Fn(usize) -> u64) -> usize {
         let take = u64::from(w < v).wrapping_neg();
         (v ^ ((v ^ w) & take), i ^ ((i ^ j) & take as usize))
     }
+    reduce(len, |i| (key(i), i), merge, (u64::MAX, 0)).1
+}
+
+/// The smallest `key` over `0..len` (`u64::MAX` when `len` is 0), with
+/// the same mask blend as [`argmin_by`].
+#[inline]
+fn min_by(len: usize, key: impl Fn(usize) -> u64) -> u64 {
+    reduce(len, key, |a, b| b ^ ((a ^ b) & u64::from(a < b).wrapping_neg()), u64::MAX)
+}
+
+/// Folds `leaf(0..len)` with `merge`, left operand always covering the
+/// lower indices. The paper's 16-way rows reduce as a balanced tree, so
+/// the dependency chain is four merges deep instead of sixteen.
+#[inline(always)]
+fn reduce<T: Copy>(
+    len: usize,
+    leaf: impl Fn(usize) -> T,
+    merge: impl Fn(T, T) -> T,
+    empty: T,
+) -> T {
     if len == 16 {
-        let mut level: [(u64, usize); 16] = std::array::from_fn(|i| (key(i), i));
+        let mut level: [T; 16] = std::array::from_fn(leaf);
         let mut width = 16;
         while width > 1 {
             width /= 2;
@@ -220,9 +239,9 @@ pub fn argmin_by(len: usize, key: impl Fn(usize) -> u64) -> usize {
                 level[i] = merge(level[2 * i], level[2 * i + 1]);
             }
         }
-        return level[0].1;
+        return level[0];
     }
-    (0..len).fold((u64::MAX, 0), |best, i| merge(best, (key(i), i))).1
+    (0..len).fold(empty, |acc, i| merge(acc, leaf(i)))
 }
 
 /// True least-recently-used replacement.
@@ -282,7 +301,7 @@ impl Lru {
         // The smallest other stamp (0 in a one-way set), with `way` itself
         // keyed out rather than skipped so the reduction has no branch.
         let key = |w: usize| row[w] | u64::from(w == way).wrapping_neg();
-        let min = if row.len() > 1 { key(argmin_by(row.len(), key)) } else { 0 };
+        let min = if row.len() > 1 { min_by(row.len(), key) } else { 0 };
         self.stamps[(set, way)] = min.saturating_sub(1);
     }
 }
