@@ -17,6 +17,7 @@
 
 use crate::predictor::{DeadBlockPredictor, PredictorStats};
 use sdbp_cache::policy::{argmin_by, ReplacementPolicy, Victim};
+use sdbp_cache::cache::INVALID;
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{CacheConfig, CacheStats, MetaPlane};
 use sdbp_trace::BlockAddr;
@@ -37,9 +38,6 @@ impl Default for DbrbConfig {
     }
 }
 
-/// Key of a free shadow slot (no block has it; see `sdbp_cache::cache::INVALID`).
-const FREE: u64 = u64::MAX;
-
 /// The fixed multiplicative hash of a block key: one 64×64→128-bit
 /// multiply folded to 64 bits. Deterministic (no per-process seed) and far
 /// cheaper than SipHash; the keys are block numbers the simulator
@@ -52,8 +50,9 @@ fn mix(key: u64) -> u64 {
 
 /// One generation of the shadow: an open-addressed table (linear
 /// probing, backward-shift deletion) of `(block, clock)` entries, plus a
-/// bit filter over the same keys. Every key in the table has its filter
-/// bit set, so a clear bit proves absence without touching the table.
+/// bit filter over the same keys. Free slots hold [`INVALID`], the key
+/// no block has. Every key in the table has its filter bit set, so a
+/// clear bit proves absence without touching the table.
 #[derive(Clone, Debug)]
 struct Generation {
     slots: Vec<(u64, u64)>,
@@ -66,7 +65,7 @@ impl Generation {
     fn new(keys: u64) -> Self {
         let slots = (2 * keys).next_power_of_two().max(64) as usize;
         let bits = (16 * keys).next_power_of_two().max(64);
-        Generation { slots: vec![(FREE, 0); slots], filter: vec![0; (bits / 64) as usize] }
+        Generation { slots: vec![(INVALID, 0); slots], filter: vec![0; (bits / 64) as usize] }
     }
 
     /// The filter word and bit of a key's hash.
@@ -91,7 +90,7 @@ impl Generation {
         let mut i = self.home(hash);
         loop {
             let slot = &mut self.slots[i];
-            if slot.0 == key || slot.0 == FREE {
+            if slot.0 == key || slot.0 == INVALID {
                 *slot = (key, when);
                 return;
             }
@@ -110,7 +109,7 @@ impl Generation {
         let mut i = self.home(hash);
         loop {
             match self.slots[i].0 {
-                FREE => return None,
+                INVALID => return None,
                 k if k == key => return Some(i),
                 _ => i = (i + 1) & mask,
             }
@@ -134,7 +133,7 @@ impl Generation {
         loop {
             i = (i + 1) & mask;
             let key = self.slots[i].0;
-            if key == FREE {
+            if key == INVALID {
                 break;
             }
             // The entry stays put when its home lies cyclically in
@@ -146,11 +145,11 @@ impl Generation {
                 hole = i;
             }
         }
-        self.slots[hole].0 = FREE;
+        self.slots[hole].0 = INVALID;
     }
 
     fn clear(&mut self) {
-        self.slots.fill((FREE, 0));
+        self.slots.fill((INVALID, 0));
         self.filter.fill(0);
     }
 }
