@@ -23,6 +23,7 @@
 //! | `pub-api-docs` | every `pub` item in library code is documented |
 //! | `flat-metadata` | per-line replacement metadata stays flat |
 //! | `mutex-discipline` | no lock guard held across a blocking call |
+//! | `shard-determinism` | the engine pool aggregates by submission index |
 //! | `result-discipline` | no silently discarded `Result` in non-test code |
 //! | `wire-exhaustive` | wire enum variants encode, decode, and are handled |
 //! | `registry-coverage` | registered policies are gated by golden + smoke |

@@ -1,39 +1,32 @@
-//! `shard-determinism`: shard results must be merged by shard index,
-//! never in arrival order.
+//! `shard-determinism`: a parallel batch's results must be aggregated
+//! by submission index, never in arrival order.
 //!
-//! The set-sharded replay kernel (PR 9, `DESIGN.md` §13) promises
-//! bit-identical output at every shard count. That promise survives
-//! parallel execution only because every aggregation point indexes
-//! results by their *task* order: the kernel's `merge_shards` walks
-//! results by shard index, `ThreadRunner` joins handles in spawn order,
-//! and the engine's fan-out fills pre-sized slots by submission index
-//! (`slots[index] = outcome`). The one shape that silently breaks the
-//! guarantee is accumulating results as they *arrive* — `.push(...)`
-//! inside a channel-receive loop — because completion order depends on
-//! scheduling, so two runs of the same input can merge in different
+//! The engine promises that a parallel run's output is byte-identical to
+//! the serial run's. That promise survives parallel execution only
+//! because the worker pool tags every result with its submission index
+//! and fills a pre-sized slot (`slots[index] = outcome`) as results come
+//! off the channel. The one shape that silently breaks the guarantee is
+//! accumulating results as they *arrive* — `.push(...)` inside a
+//! channel-receive loop — because completion order depends on
+//! scheduling, so two runs of the same input can aggregate in different
 //! orders.
 //!
-//! The rule is scoped to the modules that own shard fan-out and merge
-//! (the cache kernel and the engine's fan/pool machinery). Inside any
-//! loop that drains a channel — a `recv`/`try_recv`/`recv_timeout`/
-//! `try_iter` call, or iterating a receiver binding (`for r in rx`) —
-//! every `.push(` / `.extend(` in the loop body is flagged: write into
-//! an index-addressed slot instead.
+//! The rule is scoped to the module that owns the drain, the engine's
+//! worker pool. Inside any loop that drains a channel — a
+//! `recv`/`try_recv`/`recv_timeout`/`try_iter` call, or iterating a
+//! receiver binding (`for r in rx`) — every `.push(` / `.extend(` in the
+//! loop body is flagged: write into an index-addressed slot instead.
 
 use super::{finding_at, Finding, Rule};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-/// The shard fan-out and merge modules the invariant governs.
-const SCOPE: &[&str] = &[
-    "crates/cache/src/kernel.rs",
-    "crates/engine/src/fan.rs",
-    "crates/engine/src/pool.rs",
-];
+/// The module the invariant governs: the pool's result drain.
+const SCOPE: &[&str] = &["crates/engine/src/pool.rs"];
 
 /// Channel-drain calls that yield results in completion order. Plain
-/// `.iter()` is deliberately absent: slice iteration is everywhere in
-/// the merge paths and never arrival-ordered.
+/// `.iter()` is deliberately absent: slice iteration is never
+/// arrival-ordered.
 const ARRIVAL_CALLS: &[&str] = &["recv", "try_recv", "recv_timeout", "try_iter"];
 
 /// Receiver naming conventions, for `for r in rx`-style drains that
@@ -50,7 +43,7 @@ impl Rule for ShardDeterminism {
     }
 
     fn summary(&self) -> &'static str {
-        "shard results pushed in channel-arrival order (index a pre-sized slot instead)"
+        "batch results pushed in channel-arrival order (index a pre-sized slot instead)"
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
@@ -118,9 +111,9 @@ impl Rule for ShardDeterminism {
                         toks[j + 1].start,
                         format!(
                             "`.{method}(...)` inside a channel-draining loop accumulates \
-                             shard results in arrival order; results must be merged by \
-                             shard index — write into a pre-sized slot \
-                             (`slots[index] = ...`) as the engine fan-out does"
+                             results in arrival order; results must be aggregated by \
+                             submission index — write into a pre-sized slot \
+                             (`slots[index] = ...`)"
                         ),
                     ));
                 }
@@ -143,7 +136,7 @@ mod tests {
     #[test]
     fn push_in_a_recv_loop_is_flagged() {
         let src = "fn merge() {\n    let mut results = Vec::new();\n    while let Ok(r) = rx.recv() {\n        results.push(r);\n    }\n}\n";
-        let found = run("crates/cache/src/kernel.rs", src);
+        let found = run("crates/engine/src/pool.rs", src);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].line, 4);
         assert!(found[0].message.contains("arrival order"), "{}", found[0].message);
@@ -152,7 +145,7 @@ mod tests {
     #[test]
     fn iterating_a_receiver_is_flagged_without_a_recv_call() {
         let src = "fn merge() {\n    let mut results = Vec::new();\n    for r in rx {\n        results.push(r);\n    }\n}\n";
-        assert_eq!(run("crates/engine/src/fan.rs", src).len(), 1);
+        assert_eq!(run("crates/engine/src/pool.rs", src).len(), 1);
     }
 
     #[test]
@@ -164,7 +157,7 @@ mod tests {
     #[test]
     fn push_outside_channel_loops_is_clean() {
         let src = "fn ranges() {\n    let mut v = Vec::new();\n    for i in 0..4 {\n        v.push(i);\n    }\n}\n";
-        assert!(run("crates/cache/src/kernel.rs", src).is_empty());
+        assert!(run("crates/engine/src/pool.rs", src).is_empty());
     }
 
     #[test]
@@ -177,6 +170,6 @@ mod tests {
     #[test]
     fn test_code_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { for r in rx { v.push(r); } }\n}\n";
-        assert!(run("crates/engine/src/fan.rs", src).is_empty());
+        assert!(run("crates/engine/src/pool.rs", src).is_empty());
     }
 }

@@ -256,7 +256,7 @@ fn bad_shard_determinism_fixture_flags_every_arrival_order_merge() {
     let r = scan_fixture(
         "bad-shard",
         "bad/shard_determinism.rs",
-        "crates/cache/src/kernel.rs",
+        "crates/engine/src/pool.rs",
     );
     assert_eq!(count(&r, "shard-determinism"), 3, "{:#?}", r.findings);
 }
@@ -266,15 +266,15 @@ fn good_shard_determinism_fixture_is_clean() {
     let r = scan_fixture(
         "good-shard",
         "good/shard_determinism.rs",
-        "crates/engine/src/fan.rs",
+        "crates/engine/src/pool.rs",
     );
     assert_eq!(count(&r, "shard-determinism"), 0, "{:#?}", r.findings);
 }
 
 #[test]
-fn shard_determinism_is_scoped_to_the_kernel_and_fanout_modules() {
-    // The same arrival-order merge outside the kernel/fan-out modules is
-    // out of scope — the rule must not leak into e.g. the harness.
+fn shard_determinism_is_scoped_to_the_pool_module() {
+    // The same arrival-order merge outside the engine pool is out of
+    // scope — the rule must not leak into e.g. the harness.
     let r = scan_fixture(
         "scoped-shard",
         "bad/shard_determinism.rs",

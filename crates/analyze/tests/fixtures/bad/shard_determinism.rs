@@ -1,4 +1,4 @@
-//! Fixture: shard results merged in arrival order — every accumulation
+//! Fixture: batch results merged in arrival order — every accumulation
 //! below depends on which worker finishes first, so two runs of the
 //! same input can merge in different orders.
 

@@ -1,7 +1,8 @@
-//! Fixture: deterministic shard merges — results land in slots indexed
-//! by their *task* order, so completion order cannot reorder the merge.
+//! Fixture: deterministic batch aggregation — results land in slots
+//! indexed by their *task* order, so completion order cannot reorder the
+//! merge.
 
-/// The engine fan-out discipline: every result carries its submission
+/// The engine pool discipline: every result carries its submission
 /// index and fills a pre-sized slot.
 pub fn merge_by_slot(rx: std::sync::mpsc::Receiver<(usize, u64)>, n: usize) -> Vec<Option<u64>> {
     let mut slots: Vec<Option<u64>> = (0..n).map(|_| None).collect();
@@ -22,8 +23,8 @@ pub fn merge_by_join(handles: Vec<std::thread::JoinHandle<u64>>) -> Vec<u64> {
 /// channel arrival and stays clean.
 pub fn build_ranges(n: usize) -> Vec<std::ops::Range<usize>> {
     let mut ranges = Vec::new();
-    for shard in 0..n {
-        ranges.push(shard..shard + 1);
+    for task in 0..n {
+        ranges.push(task..task + 1);
     }
     ranges
 }

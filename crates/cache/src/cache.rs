@@ -328,8 +328,7 @@ impl Cache {
     /// The replay loop: presents every access of `stream` in order,
     /// appending each outcome to `hits` and reporting it to `probe` (with
     /// its index in `stream`). Every replay entry point —
-    /// [`replay`](crate::replay::replay), sampled segments, shard queues —
-    /// is this call.
+    /// [`replay`](crate::replay::replay), sampled segments — is this call.
     pub fn run(
         &mut self,
         stream: &[LlcAccess],

@@ -43,7 +43,6 @@ pub mod config;
 pub mod efficiency;
 pub mod full;
 pub mod hierarchy;
-pub mod kernel;
 pub mod lru;
 pub mod meta;
 pub mod policy;
@@ -54,10 +53,6 @@ pub mod stats;
 
 pub use cache::{AccessOutcome, Cache};
 pub use config::CacheConfig;
-pub use kernel::{
-    merge_shards, replay_shard, replay_sharded, shard_queue, SerialRunner, ShardError, ShardPlan,
-    ShardResult, ShardRunner, ThreadRunner,
-};
 pub use meta::{HitMap, MetaPlane};
 pub use policy::{Policy, ReplacementPolicy, Victim};
 pub use recorder::{record, InstrKind, InstrRecord, LlcAccess, RecordedWorkload};

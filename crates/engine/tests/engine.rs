@@ -162,3 +162,21 @@ fn run_all_unwraps_plain_closures() {
         (0..6u32).map(|i| Box::new(move || i + 10) as Box<_>).collect();
     assert_eq!(engine.run_all("plain", work), vec![10, 11, 12, 13, 14, 15]);
 }
+
+#[test]
+fn batch_smaller_than_the_worker_count_keeps_submission_order() {
+    // Three jobs on eight workers; later submissions finish first.
+    let batch = Engine::with_workers(8).run_batch("small", skewed_jobs(3));
+    assert_eq!(batch.stats.jobs, 3);
+    assert_eq!(batch.expect_all(), vec![1, 2, 5]);
+}
+
+#[test]
+fn empty_batch_returns_no_results() {
+    for engine in [Engine::serial(), Engine::with_workers(4)] {
+        let batch = engine.run_batch("empty", Vec::<Job<'static, u8>>::new());
+        assert!(batch.results.is_empty());
+        assert_eq!(batch.stats.jobs, 0);
+        assert_eq!(engine.telemetry().jobs(), 0);
+    }
+}

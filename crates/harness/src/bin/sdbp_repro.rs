@@ -12,8 +12,6 @@
 //! sdbp-repro --jobs 8 all              # 8 engine workers
 //! sdbp-repro --serial fig4             # single-threaded reference run
 //! sdbp-repro --sampled plans/ fig4     # sampled replay from .sdbs plans
-//! sdbp-repro --shards 8 all            # set-sharded replay of shardable policies
-//! sdbp-repro --shards auto all         # one shard per engine worker
 //! sdbp-repro trace record --workload 456.hmmer --out hmmer.sdbt
 //! sdbp-repro trace replay hmmer.sdbt   # bit-exact archived replay
 //! sdbp-repro trace import --in foreign.txt --out foreign.sdbt
@@ -39,6 +37,12 @@ use sdbp_engine::{Engine, Parallelism};
 use sdbp_harness::experiments::{self, Context, ALL_EXPERIMENTS};
 use std::io::Write as _;
 use std::time::Instant;
+
+const USAGE: &str = "usage: sdbp-repro [--instructions N] [--output FILE] [--jobs N | --serial] \
+     [--sampled DIR] [list | all | <experiment>...]
+       sdbp-repro trace [record | replay | sample | import | info] ...
+       sdbp-repro [serve | submit] ...
+       sdbp-repro list-policies";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,30 +71,11 @@ fn main() {
     }
     let mut output: Option<std::fs::File> = None;
     let mut parallelism = Parallelism::Auto;
-    let mut shards_auto = false;
     // Flag parsing: --instructions N, --output FILE, --jobs N, --serial,
-    // --shards N|auto.
+    // --sampled DIR.
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--shards" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("auto") => {
-                        // Resolved below, once the worker count is known.
-                        shards_auto = true;
-                        args.drain(i..=i + 1);
-                    }
-                    Some(v) if v.parse::<usize>().is_ok_and(|n| n > 0) => {
-                        // Read per replay by run_policy; set before any runs.
-                        std::env::set_var(sdbp_harness::runner::SHARDS_ENV, v);
-                        args.drain(i..=i + 1);
-                    }
-                    _ => {
-                        eprintln!("--shards needs a positive integer or 'auto'");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--jobs" => {
                 let n = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
                 match n {
@@ -157,16 +142,15 @@ fn main() {
                     }
                 }
             }
+            flag if flag.starts_with("--") && flag != "--help" => {
+                eprintln!("unknown flag {flag}\n{USAGE}");
+                std::process::exit(2);
+            }
             _ => i += 1,
         }
     }
     if args.is_empty() || args[0] == "help" || args[0] == "--help" {
-        eprintln!(
-            "usage: sdbp-repro [--instructions N] [--output FILE] [--jobs N | --serial] \
-             [--sampled DIR] [--shards N|auto] [list | all | <experiment>...]\n       \
-             sdbp-repro trace [record | replay | sample | import | info] ...\n       \
-             sdbp-repro [serve | submit] ...\n       sdbp-repro list-policies"
-        );
+        eprintln!("{USAGE}");
         eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
@@ -184,17 +168,10 @@ fn main() {
     };
 
     let engine = Engine::new(parallelism);
-    if shards_auto {
-        // One shard per worker: a lone big replay then spreads across
-        // the whole pool via the engine's shard-subtask fan-out.
-        std::env::set_var(sdbp_harness::runner::SHARDS_ENV, engine.workers().to_string());
-    }
     eprintln!(
-        "[engine: {} worker{}, {} shard{}]",
+        "[engine: {} worker{}]",
         engine.workers(),
-        if engine.workers() == 1 { "" } else { "s" },
-        sdbp_harness::runner::shards_from_env(),
-        if sdbp_harness::runner::shards_from_env() == 1 { "" } else { "s" }
+        if engine.workers() == 1 { "" } else { "s" }
     );
     let ctx = Context::with_engine(engine);
     let mut failed = false;

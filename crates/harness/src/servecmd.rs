@@ -17,8 +17,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 const SERVE_USAGE: &str = "usage: sdbp-repro serve [--addr HOST:PORT] [--jobs N] \
-     [--shards N|auto] [--queue-depth N] [--trace-dir DIR] [--engine-report FILE] \
-     [--shutdown-file FILE]";
+     [--queue-depth N] [--trace-dir DIR] [--engine-report FILE] [--shutdown-file FILE]";
 
 const SUBMIT_USAGE: &str = "usage: sdbp-repro submit --addr HOST:PORT \
      [--policy SPEC]... [--sets N] [--ways N] [--window N] FILE.sdbt";
@@ -103,30 +102,17 @@ pub fn run_serve(args: &[String]) -> i32 {
 fn serve_inner(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        &["addr", "jobs", "shards", "queue-depth", "trace-dir", "engine-report", "shutdown-file"],
+        &["addr", "jobs", "queue-depth", "trace-dir", "engine-report", "shutdown-file"],
         SERVE_USAGE,
     )?;
     if !flags.positional.is_empty() {
         return Err(format!("serve takes no positional arguments\n{SERVE_USAGE}"));
     }
-    // Set shards per replay job: big jobs on set-local policies spread
-    // across this many threads (DESIGN.md §13); `auto` means one shard
-    // per hardware thread.
-    let shards = match flags.get("shards") {
-        None => 1,
-        Some("auto") => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-        Some(raw) => raw
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| format!("--shards needs a positive integer or 'auto'\n{SERVE_USAGE}"))?,
-    };
     let config = ServerConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
         workers: flags.get_parsed("jobs", 2usize, SERVE_USAGE)?,
         queue_depth: flags.get_parsed("queue-depth", 16usize, SERVE_USAGE)?,
         trace_dir: flags.get("trace-dir").map(PathBuf::from),
-        shards,
         ..ServerConfig::default()
     };
     if config.workers == 0 {

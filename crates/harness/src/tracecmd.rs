@@ -19,29 +19,21 @@
 //! default pair: `sdbp-repro trace replay t.sdbt --policy rrip --policy
 //! sampler:assoc=16`. `sdbp-repro list-policies` prints the registry.
 //!
-//! `replay --shards N|auto` splits the replay of set-local (`shardable`)
-//! policies across set shards on scoped threads; the output stays
-//! byte-identical at every shard count. `info --set-histogram SETS`
-//! appends an accesses-per-set decile breakdown — the skew fingerprint
-//! that predicts shard load balance.
+//! `info --set-histogram SETS` appends an accesses-per-set decile
+//! breakdown of the stream.
 //!
 //! `convert` rewrites an archive between the compact varint v1 codec and
 //! the fixed-width columnar v2 codec (DESIGN.md §14) losslessly in either
 //! direction; `info` reports both codecs' real byte footprints for the
 //! file's stream so the space cost of the fast format is never a guess.
 
-use crate::runner::{
-    record_from_source, run_policy_sampled_sharded, run_policy_sharded, PolicyKind,
-};
+use crate::runner::{record_from_source, run_policy, run_policy_sampled, PolicyKind};
 use sdbp::registry::PolicySpec;
-use sdbp_cache::kernel::{replay_sharded, ShardPlan, ThreadRunner};
 use sdbp_cache::recorder::{record_for_core, RecordedWorkload};
 use sdbp_cache::replay::replay;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_cpu::CoreModel;
-use sdbp_sample::{
-    build_plan, calibrate_bound, replay_sampled, replay_sampled_sharded, PlanConfig, SamplingPlan,
-};
+use sdbp_sample::{build_plan, calibrate_bound, replay_sampled, PlanConfig, SamplingPlan};
 use sdbp_traceio::{
     convert_path, import_text, ChunkStat, FileSource, TraceMeta, TraceReader, TraceWriter,
     WriteSummary, FORMAT_V1, FORMAT_V2,
@@ -78,7 +70,6 @@ pub fn run(args: &[String]) -> i32 {
 const USAGE: &str = "usage:
   sdbp-repro trace record --workload NAME --out FILE.sdbt [--instructions N] [--core C]
   sdbp-repro trace replay FILE.sdbt [--core C] [--policy SPEC]... [--sampled PLAN.sdbs]
-                          [--shards N|auto]
   sdbp-repro trace replay --workload NAME [--instructions N] [--core C] [--policy SPEC]...
   sdbp-repro trace sample FILE.sdbt --out PLAN.sdbs [--window N] [--clusters K]
                           [--warmup W] [--seed S] [--jobs J] [--core C]
@@ -91,11 +82,9 @@ const USAGE: &str = "usage:
 'sampler:assoc=16,tables=1'; see `sdbp-repro list-policies`. Without it,
 replay reports the default LRU + Sampler pair. --sampled replays only the
 plan's representative windows and extrapolates (estimate + error bound).
---shards splits the replay across set shards ('auto' = one per hardware
-thread); policies the registry marks non-shardable run serial, and the
-output is bit-identical at every shard count. convert rewrites an archive
-between codec versions losslessly (--to defaults to 2, the columnar
-fast-decode layout; 1 is the compact archival layout).";
+convert rewrites an archive between codec versions losslessly (--to
+defaults to 2, the columnar fast-decode layout; 1 is the compact archival
+layout).";
 
 /// Tiny flag parser: `--key value` pairs plus positional arguments.
 struct Flags {
@@ -195,29 +184,10 @@ fn report_write(out: &Path, summary: &WriteSummary, secs: f64) {
     );
 }
 
-/// The `--shards` count: an explicit positive integer, `auto` (one per
-/// hardware thread), or 1 when absent.
-fn shard_count(flags: &Flags) -> Result<usize, String> {
-    match flags.get("shards") {
-        None => Ok(1),
-        Some("auto") => {
-            Ok(std::thread::available_parallelism().map(usize::from).unwrap_or(1))
-        }
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--shards needs a positive integer or 'auto', got '{v}'")),
-    }
-}
-
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(
-        args,
-        &["workload", "instructions", "core", "policy", "sampled", "shards"],
-    )?;
+    let flags =
+        Flags::parse(args, &["workload", "instructions", "core", "policy", "sampled"])?;
     let core = core_id(&flags)?;
-    let shards = shard_count(&flags)?;
     let workload = match (flags.get("workload"), flags.positional.as_slice()) {
         (Some(name), []) => {
             let bench =
@@ -239,13 +209,13 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             let plan = SamplingPlan::load(plan_path)
                 .map_err(|e| format!("{}: {e}", plan_path.display()))?;
             if specs.is_empty() {
-                sampled_summary(&workload, llc, &plan, shards)?
+                sampled_summary(&workload, llc, &plan)?
             } else {
-                sampled_specs(&workload, llc, &plan, &specs, shards)?
+                sampled_specs(&workload, llc, &plan, &specs)?
             }
         }
-        None if specs.is_empty() => replay_summary(&workload, llc, shards),
-        None => replay_specs(&workload, llc, &specs, shards)?,
+        None if specs.is_empty() => replay_summary(&workload, llc),
+        None => replay_specs(&workload, llc, &specs)?,
     };
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -264,24 +234,17 @@ pub fn workload_from_file(path: &Path, core: u8) -> Result<RecordedWorkload, Str
 /// The replay result table: one line per policy, `{name} {policy}
 /// misses= mpki= ipc=`. Byte-identical between a direct synthetic run and
 /// a replay of its recording — the property the integration tests and CI
-/// assert — and byte-identical at every `shards` count, since sharding
-/// only applies to set-local policies and merges deterministically.
-pub fn replay_summary(workload: &RecordedWorkload, llc: CacheConfig, shards: usize) -> String {
+/// assert.
+pub fn replay_summary(workload: &RecordedWorkload, llc: CacheConfig) -> String {
     let mut out = String::new();
     for policy in [PolicyKind::Lru, PolicyKind::Sampler] {
-        let r = run_policy_sharded(workload, &policy, llc, shards);
+        let r = run_policy(workload, &policy, llc);
         out.push_str(&format!(
             "{} {} misses={} mpki={:.6} ipc={:.6}\n",
             r.benchmark, r.policy, r.misses, r.mpki, r.ipc
         ));
     }
     out
-}
-
-/// Whether the registry entry named by `spec` is marked set-local, i.e.
-/// safe to replay sharded with bit-identical results.
-fn spec_shardable(registry: &sdbp::registry::Registry, spec: &PolicySpec) -> bool {
-    registry.entries().iter().any(|e| e.name == spec.name && e.shardable)
 }
 
 /// Replays one line per `--policy` spec, same line shape as
@@ -295,29 +258,14 @@ pub fn replay_specs(
     workload: &RecordedWorkload,
     llc: CacheConfig,
     specs: &[&str],
-    shards: usize,
 ) -> Result<String, String> {
     let registry = sdbp::registry::standard();
-    let registry = &registry;
     let mut out = String::new();
     for raw in specs {
         let spec: PolicySpec = raw.parse().map_err(|e: sdbp::SpecError| e.to_string())?;
-        // Validate the spec once up front so the sharded factory below
-        // cannot fail.
-        registry.build(&spec, llc, 1).map_err(|e| e.to_string())?;
-        let result = if shards > 1 && spec_shardable(registry, &spec) {
-            let plan = ShardPlan::new(llc.sets, shards);
-            let spec = &spec;
-            let fresh = move || {
-                let policy = registry.build(spec, llc, 1).expect("spec validated above");
-                sdbp_cache::Cache::with_policy(llc, policy)
-            };
-            replay_sharded(&workload.llc, &plan, &fresh, &ThreadRunner, None)
-                .map_err(|e| e.to_string())?
-        } else {
-            let policy = registry.build(&spec, llc, 1).map_err(|e| e.to_string())?;
-            replay(&workload.llc, &mut sdbp_cache::Cache::with_policy(llc, policy))
-        };
+        let policy = registry.build(&spec, llc, 1).map_err(|e| e.to_string())?;
+        let mut cache = sdbp_cache::Cache::with_policy(llc, policy);
+        let result = replay(&workload.llc, &mut cache);
         let timing = CoreModel::default().simulate(&workload.records, &result.hits);
         out.push_str(&format!(
             "{} {} misses={} mpki={:.6} ipc={:.6}\n",
@@ -339,11 +287,10 @@ pub fn sampled_summary(
     workload: &RecordedWorkload,
     llc: CacheConfig,
     plan: &SamplingPlan,
-    shards: usize,
 ) -> Result<String, String> {
     let mut out = String::new();
     for policy in [PolicyKind::Lru, PolicyKind::Sampler] {
-        let (row, sampled) = run_policy_sampled_sharded(workload, &policy, llc, plan, shards)?;
+        let (row, sampled) = run_policy_sampled(workload, &policy, llc, plan)?;
         out.push_str(&format!(
             "{} {} misses={} mpki={:.6} ipc={:.6} sampled bound={:.4} reduction={:.1}x\n",
             row.benchmark,
@@ -368,30 +315,20 @@ pub fn sampled_specs(
     llc: CacheConfig,
     plan: &SamplingPlan,
     specs: &[&str],
-    shards: usize,
 ) -> Result<String, String> {
     let registry = sdbp::registry::standard();
-    let registry = &registry;
     let mut out = String::new();
     for raw in specs {
         let spec: PolicySpec = raw.parse().map_err(|e: sdbp::SpecError| e.to_string())?;
         // Validate the spec once up front so the per-representative cache
         // factory below cannot fail.
         registry.build(&spec, llc, 1).map_err(|e| e.to_string())?;
-        let fresh = {
-            let spec = &spec;
-            move || {
-                let policy = registry.build(spec, llc, 1).expect("spec validated above");
-                sdbp_cache::Cache::with_policy(llc, policy)
-            }
-        };
-        let sampled = if shards > 1 && spec_shardable(registry, &spec) {
-            let shard_plan = ShardPlan::new(llc.sets, shards);
-            replay_sampled_sharded(&workload.llc, plan, &shard_plan, &fresh, &ThreadRunner)
-                .map_err(|e| e.to_string())?
-        } else {
-            replay_sampled(&workload.llc, plan, fresh).map_err(|e| e.to_string())?
-        };
+        let sampled = replay_sampled(&workload.llc, plan, || {
+            let policy =
+                registry.build(&spec, llc, 1).expect("spec validated above");
+            sdbp_cache::Cache::with_policy(llc, policy)
+        })
+        .map_err(|e| e.to_string())?;
         let timing = CoreModel::default().simulate(&workload.records, &sampled.hits);
         out.push_str(&format!(
             "{} {} misses={} mpki={:.6} ipc={:.6} sampled bound={:.4} reduction={:.1}x\n",
@@ -718,8 +655,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some(mut counts) = set_counts {
-        // Accesses per set decile, hottest sets first: a skew fingerprint
-        // that predicts how well a set-sharded replay will load-balance.
+        // Accesses per set decile, hottest sets first: how unevenly the
+        // stream loads the sets.
         let sets = counts.len();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let total: u64 = counts.iter().sum();

@@ -165,13 +165,6 @@ pub struct PolicyEntry {
     pub label: &'static str,
     /// One-line description for `list-policies`.
     pub summary: &'static str,
-    /// Whether the policy's state is **set-local**, so a replay may be
-    /// sharded by set range (`sdbp_cache::kernel`) with bit-identical
-    /// results. Policies with global state — a shared RNG draw sequence,
-    /// set-dueling PSEL counters over leader sets, predictor tables
-    /// trained by every set — observe cross-set interleaving and must
-    /// replay serially; see DESIGN.md §13 for the per-policy analysis.
-    pub shardable: bool,
     /// The constructor.
     pub build: BuildFn,
 }
@@ -205,7 +198,6 @@ impl Registry {
             name: "lru",
             label: "LRU",
             summary: "true least-recently-used (the single-core baseline)",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Policy::new(Lru::new(llc.sets, llc.ways)))
@@ -215,7 +207,6 @@ impl Registry {
             name: "random",
             label: "Random",
             summary: "uniform random victim selection (seeded)",
-            shardable: false,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Policy::new(Random::new(llc, REGISTRY_SEED)))
@@ -225,7 +216,6 @@ impl Registry {
             name: "plru",
             label: "PLRU",
             summary: "tree pseudo-LRU (hardware LRU approximation)",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Policy::new(PseudoLru::new(llc)))
@@ -235,7 +225,6 @@ impl Registry {
             name: "srrip",
             label: "SRRIP",
             summary: "static re-reference interval prediction",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Policy::new(Srrip::new(llc)))
@@ -245,7 +234,6 @@ impl Registry {
             name: "rrip",
             label: "RRIP",
             summary: "DRRIP (TA-DRRIP when sharing cores)",
-            shardable: false,
             build: |spec, llc, cores| {
                 reject_params(spec)?;
                 Ok(Policy::new(Drrip::new(llc, cores, REGISTRY_SEED)))
@@ -255,7 +243,6 @@ impl Registry {
             name: "dip",
             label: "DIP",
             summary: "dynamic insertion policy (LRU vs BIP dueling)",
-            shardable: false,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Policy::new(Dip::new(llc, REGISTRY_SEED)))
@@ -265,7 +252,6 @@ impl Registry {
             name: "tadip",
             label: "TADIP",
             summary: "thread-aware DIP (per-core insertion duels)",
-            shardable: false,
             build: |spec, llc, cores| {
                 reject_params(spec)?;
                 Ok(Policy::new(Tadip::new(llc, cores, REGISTRY_SEED)))
@@ -411,19 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn shardable_flags_match_the_policy_state_model() {
-        let r = Registry::base();
-        for entry in r.entries() {
-            let set_local = matches!(entry.name, "lru" | "plru" | "srrip");
-            assert_eq!(
-                entry.shardable, set_local,
-                "{}: shardable must mean set-local state (global RNG/PSEL state cannot shard)",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_names_rejected() {
         let mut r = Registry::base();
@@ -431,7 +404,6 @@ mod tests {
             name: "lru",
             label: "LRU2",
             summary: "dup",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Policy::new(Lru::new(llc.sets, llc.ways)))

@@ -45,4 +45,4 @@ pub mod sampled;
 pub use builder::{build_plan, PlanConfig, DEFAULT_PLAN_SEED};
 pub use kmeans::{cluster, Clustering, KmeansConfig};
 pub use plan::{PlanError, SamplingPlan, MAX_SOURCE_LEN, PLAN_MAGIC, PLAN_VERSION};
-pub use sampled::{calibrate_bound, replay_sampled, replay_sampled_sharded, SampleError};
+pub use sampled::{calibrate_bound, replay_sampled, SampleError};

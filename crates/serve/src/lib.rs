@@ -35,7 +35,8 @@ mod session;
 pub use client::{Client, JobOutcome, JobRequest, SubmitReply, TraceSubmission};
 pub use error::{FrameError, ServeError};
 pub use protocol::{Frame, PROTOCOL_VERSION};
-pub use server::{Server, ServerConfig, SHARD_MIN_ACCESSES};
+pub use server::{Server, ServerConfig};
+pub use session::MAX_LLC_LINES;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///

@@ -21,6 +21,12 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Largest LLC, in block frames (`sets * ways`), a job may ask for:
+/// 2^22 frames is a 256 MiB cache, eight times the 32 MB top of Table
+/// IV's capacity sweep. Anything bigger is refused with `BadGeometry`
+/// before acceptance instead of aborting the daemon on allocation.
+pub const MAX_LLC_LINES: usize = 1 << 22;
+
 /// Whether the session loop keeps serving after handling a request.
 enum Flow {
     Continue,
@@ -198,6 +204,16 @@ fn handle_submit(
             ErrorCode::BadGeometry,
             format!(
                 "invalid geometry sets={} ways={}: sets must be a power of two, ways >= 1",
+                sub.sets, sub.ways
+            ),
+        );
+    }
+    if sets.checked_mul(ways).is_none_or(|lines| lines > MAX_LLC_LINES) {
+        return reply_error(
+            writer,
+            ErrorCode::BadGeometry,
+            format!(
+                "geometry sets={} ways={} exceeds the {MAX_LLC_LINES}-line LLC cap",
                 sub.sets, sub.ways
             ),
         );

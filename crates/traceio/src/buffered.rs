@@ -22,7 +22,7 @@
 //! `BufferedTrace` is `Sync` and `batch` takes `&self`: different threads
 //! can decode **disjoint chunk ranges of the same buffer** concurrently,
 //! each with its own scratch ([`BufferedTrace::range_batches`]), which is
-//! what lets one trace feed every replay shard without duplicating the
+//! what lets several threads decode one trace without duplicating the
 //! file. All corruption — truncated columns, length mismatches, flipped
 //! bits — surfaces as a typed [`TraceIoError`], never a panic.
 

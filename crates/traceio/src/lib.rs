@@ -37,7 +37,7 @@
 //!   image and lends whole decoded [`InstrBatch`](sdbp_trace::batch::InstrBatch)es
 //!   per chunk — the zero-copy v2 fast path; it is `Sync`, and
 //!   [`BufferedTrace::split_ranges`] hands disjoint chunk ranges of one
-//!   buffer to concurrent shards.
+//!   buffer to concurrent decoders.
 //! * [`import`] turns ChampSim-style `pc addr is_write` text traces into
 //!   `.sdbt` workloads.
 //! * [`FileSource`] plugs a trace file into the

@@ -76,75 +76,6 @@ fn every_golden_spec_replays_to_the_recorded_miss_count() {
     assert!(failures.is_empty(), "golden drift:\n{}", failures.join("\n"));
 }
 
-/// Every golden row must replay to the same miss count at shard counts
-/// {2, 4, 8} as at 1 — the acceptance property of the set-sharded
-/// replay kernel (`DESIGN.md` §13).
-///
-/// Rows whose policy carries the registry's `shardable` capability flag
-/// run through `replay_sharded` and must match the serial result bit
-/// for bit (counters *and* per-access hit bits). Rows without the flag
-/// take the same serial fallback the production paths take, so their
-/// sharded output is the serial output by construction; the test pins
-/// that the gate itself matches the registry.
-#[test]
-fn golden_rows_are_bit_identical_at_every_shard_count() {
-    use sdbp_suite::cache::kernel::{replay_sharded, SerialRunner, ShardPlan};
-
-    let rows = rows();
-    let mut recordings: BTreeMap<(String, u64), RecordedWorkload> = BTreeMap::new();
-    let registry = standard();
-    let mut sharded_rows = 0usize;
-    let mut failures = Vec::new();
-    for row in &rows {
-        let key = (row.workload.clone(), row.instructions);
-        let w = recordings.entry(key).or_insert_with(|| {
-            let bench =
-                sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
-            record(bench.name, bench.trace(), row.instructions)
-        });
-        let llc = CacheConfig::new(row.sets, row.ways);
-        let spec: sdbp_suite::sdbp::registry::PolicySpec =
-            row.spec.parse().expect("golden spec parses");
-        let shardable =
-            registry.entries().iter().any(|e| e.name == spec.name && e.shardable);
-        if !shardable {
-            continue; // production paths clamp these to the serial kernel
-        }
-        sharded_rows += 1;
-        let serial = {
-            let policy = registry.build(&spec, llc, 1).expect("golden spec builds");
-            replay(&w.llc, &mut Cache::with_policy(llc, policy))
-        };
-        if serial.stats.misses != row.misses {
-            failures.push(format!("{} {}: serial drifted", row.workload, row.spec));
-            continue;
-        }
-        for shards in [2usize, 4, 8] {
-            let plan = ShardPlan::new(row.sets, shards);
-            let fresh = || {
-                let policy = registry.build(&spec, llc, 1).expect("golden spec builds");
-                Cache::with_policy(llc, policy)
-            };
-            match replay_sharded(&w.llc, &plan, &fresh, &SerialRunner, None) {
-                Ok(result) if result == serial => {}
-                Ok(result) => failures.push(format!(
-                    "{} {} at {shards} shards: {} misses vs serial {}",
-                    row.workload, row.spec, result.stats.misses, serial.stats.misses
-                )),
-                Err(e) => failures.push(format!(
-                    "{} {} at {shards} shards: {e}",
-                    row.workload, row.spec
-                )),
-            }
-        }
-    }
-    assert!(failures.is_empty(), "shard drift:\n{}", failures.join("\n"));
-    assert!(
-        sharded_rows >= 5,
-        "only {sharded_rows} golden rows are shardable — the capability flag regressed"
-    );
-}
-
 /// Golden rows must survive the archival pipeline unchanged: record the
 /// workload to a v1 `.sdbt`, convert it to the columnar v2 layout,
 /// batch-decode the converted file through `BufferedTrace`, and the
