@@ -8,9 +8,10 @@
 //! bit-identical to the original per-policy implementations. Regenerate
 //! the fixture (same example) only for intentional behaviour changes.
 
-use sdbp_suite::cache::recorder::{record, RecordedWorkload};
+use sdbp_suite::cache::recorder::{record, InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
 use sdbp_suite::cache::replay::replay;
 use sdbp_suite::cache::{Cache, CacheConfig};
+use sdbp_suite::cpu::CoreModel;
 use sdbp_suite::sdbp::registry::standard;
 use std::collections::BTreeMap;
 
@@ -137,6 +138,18 @@ fn golden_rows_replay_identically_through_a_v2_converted_trace() {
             ));
         }
     }
+    // The batched recorder must also reproduce the pinned recordings.
+    for f in timing_rows("record") {
+        let w = &recordings[&(f[1].to_owned(), f[2].parse().expect("instructions"))];
+        let got = [
+            format!("{:016x}", records_digest(&w.records)),
+            format!("{:016x}", llc_digest(&w.llc)),
+        ];
+        if got[..] != [f[4], f[6]] {
+            let want = [f[4], f[6]];
+            failures.push(format!("record {} via v2 trace: expected {want:?}, got {got:?}", f[1]));
+        }
+    }
     assert!(failures.is_empty(), "v2 trace drift:\n{}", failures.join("\n"));
     assert!(checked >= 10, "only {checked} golden rows exercised the v2 path");
 }
@@ -204,4 +217,125 @@ fn every_golden_row_reproduces_its_full_stats_and_hit_map() {
         }
     }
     assert!(failures.is_empty(), "full-stats drift:\n{}", failures.join("\n"));
+}
+
+const TIMING_FIXTURE: &str = include_str!("golden/timing_and_min.tsv");
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-1a over the records' packed bytes (service level in bits 0-1,
+/// dependence in bit 2) — the digest `examples/golden_gen.rs` writes.
+fn records_digest(records: &[InstrRecord]) -> u64 {
+    fnv1a(records.iter().map(|r| {
+        let kind = match r.kind() {
+            InstrKind::NonMem => 0,
+            InstrKind::L1Hit => 1,
+            InstrKind::L2Hit => 2,
+            InstrKind::Llc => 3,
+        };
+        kind | u8::from(r.dependent()) << 2
+    }))
+}
+
+/// FNV-1a over the LLC stream: per access, the little-endian bytes of
+/// pc, block and instruction index, then the write flag and the core.
+fn llc_digest(llc: &[LlcAccess]) -> u64 {
+    fnv1a(llc.iter().flat_map(|a| {
+        let words = [a.pc.raw(), a.block.raw(), u64::from(a.instr)];
+        let tail = [u8::from(a.kind.is_write()), a.core];
+        words.into_iter().flat_map(u64::to_le_bytes).chain(tail)
+    }))
+}
+
+/// The rows of `timing_and_min.tsv` whose first field is `kind`, split
+/// into fields.
+fn timing_rows(kind: &str) -> Vec<Vec<&'static str>> {
+    TIMING_FIXTURE
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|line| line.split('\t').collect::<Vec<_>>())
+        .filter(|f| f[0] == kind)
+        .collect()
+}
+
+/// The layers around the replay, pinned to values taken before their
+/// data-first rewrite: the L1/L2 recorder (digests of the per-instruction
+/// records and of the LLC stream), Belady MIN with and without bypass
+/// (hits, misses, bypasses per workload and geometry), and the default
+/// core model (cycles for every golden row's hit map). The replay gates
+/// above see none of these: a timing model that drifts by one cycle, or
+/// a MIN that breaks a tie the other way, would pass them.
+#[test]
+fn recording_min_and_timing_reproduce_the_pinned_fixture() {
+    let (records, mins) = (timing_rows("record"), timing_rows("min"));
+    let cycles = timing_rows("cycles");
+    assert_eq!((records.len(), mins.len(), cycles.len()), (2, 6, 60), "fixture shape changed");
+
+    let mut recordings: BTreeMap<(String, u64), RecordedWorkload> = BTreeMap::new();
+    let mut recording = |workload: &str, instructions: &str| -> RecordedWorkload {
+        let instructions: u64 = instructions.parse().expect("instructions");
+        recordings
+            .entry((workload.to_owned(), instructions))
+            .or_insert_with(|| {
+                let bench =
+                    sdbp_suite::workloads::benchmark(workload).expect("workload in suite");
+                record(bench.name, bench.trace(), instructions)
+            })
+            .clone()
+    };
+    let mut failures = Vec::new();
+    for f in &records {
+        assert_eq!(f.len(), 7, "malformed record line: {f:?}");
+        let w = recording(f[1], f[2]);
+        let got = [
+            w.records.len().to_string(),
+            format!("{:016x}", records_digest(&w.records)),
+            w.llc.len().to_string(),
+            format!("{:016x}", llc_digest(&w.llc)),
+        ];
+        if got[..] != f[3..] {
+            failures.push(format!("record {}: expected {:?}, got {got:?}", f[1], &f[3..]));
+        }
+    }
+    for f in &mins {
+        assert_eq!(f.len(), 9, "malformed min line: {f:?}");
+        let w = recording(f[1], f[2]);
+        let llc = CacheConfig::new(f[3].parse().expect("sets"), f[4].parse().expect("ways"));
+        let r = match f[5] {
+            "bypass" => sdbp_suite::optimal::simulate(&w.llc, llc),
+            "no-bypass" => sdbp_suite::optimal::simulate_no_bypass(&w.llc, llc),
+            other => panic!("unknown MIN variant {other:?}"),
+        };
+        let got = [r.hits.to_string(), r.misses.to_string(), r.bypasses.to_string()];
+        if got[..] != f[6..] {
+            let want = &f[6..];
+            failures.push(format!(
+                "min {} {}x{} {}: expected {want:?}, got {got:?}",
+                f[1], f[3], f[4], f[5]
+            ));
+        }
+    }
+    let registry = standard();
+    for f in &cycles {
+        assert_eq!(f.len(), 7, "malformed cycles line: {f:?}");
+        let w = recording(f[1], f[2]);
+        let llc = CacheConfig::new(f[3].parse().expect("sets"), f[4].parse().expect("ways"));
+        let policy = registry
+            .build_str(f[5], llc, 1)
+            .unwrap_or_else(|e| panic!("golden spec {:?} must build: {e}", f[5]));
+        let r = replay(&w.llc, &mut Cache::with_policy(llc, policy));
+        let got = CoreModel::default().simulate(&w.records, &r.hits).cycles.to_string();
+        if got != f[6] {
+            failures.push(format!(
+                "cycles {} {}x{} {}: expected {}, got {got}",
+                f[1], f[3], f[4], f[5], f[6]
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "timing/MIN drift:\n{}", failures.join("\n"));
 }
