@@ -187,6 +187,13 @@ impl HitMap {
         self.words.get(index / 64).map(|w| (w >> (index % 64)) & 1 == 1)
     }
 
+    /// Whether access `index` hit; `false` (a miss) past the end. Reads
+    /// one word and never branches on the data: trailing bits are zero.
+    #[inline]
+    pub fn hit(&self, index: usize) -> bool {
+        self.words.get(index / 64).is_some_and(|w| (w >> (index % 64)) & 1 == 1)
+    }
+
     /// Number of accesses recorded.
     pub const fn len(&self) -> usize {
         self.len

@@ -39,6 +39,7 @@
 use sdbp_cache::config::Latencies;
 use sdbp_cache::meta::HitMap;
 use sdbp_cache::recorder::{InstrKind, InstrRecord};
+use std::hint::select_unpredictable;
 
 /// Core parameters (defaults follow the paper's §VI-A).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -87,6 +88,11 @@ impl CoreModel {
     /// [`sdbp_cache::replay()`]. Accesses beyond the end of `llc_hits` are
     /// treated as misses (useful for quick what-if runs).
     ///
+    /// The loop is data-first: the instruction window, the MSHRs and the
+    /// fetch group are ring cursors (no division per instruction), the
+    /// latency comes from a table indexed by record kind, and hit/miss
+    /// and load dependence pick values by select rather than by branch.
+    ///
     /// # Panics
     ///
     /// Panics if `width` or `window` is zero.
@@ -95,50 +101,49 @@ impl CoreModel {
         assert!(self.window >= 1, "window must be at least 1");
         assert!(self.mshrs >= 1, "mshrs must be at least 1");
         let lat = self.latencies;
+        // Latency by record kind in `InstrKind` order; an LLC miss reads
+        // one entry further, the memory latency.
+        let latency = [1, lat.l1, lat.l2, lat.llc, lat.memory].map(u64::from);
+        let width = u64::from(self.width);
         // Completion cycle of the instruction `window` slots ago.
         let mut retire = vec![0u64; self.window];
-        // Completion cycle of the miss `mshrs` misses ago.
-        let mut mshr = vec![0u64; self.mshrs];
-        let mut miss_index = 0usize;
-        let mut llc_cursor = 0usize;
+        // Completion cycle of the miss `mshrs` misses ago, plus one spare
+        // entry that takes the (discarded) store of every non-miss, so a
+        // slot is only written by the miss it belongs to.
+        let mut mshr = vec![0u64; self.mshrs + 1];
+        let (mut slot, mut miss_slot, mut llc_cursor) = (0usize, 0usize, 0usize);
+        // Front end: at most `width` instructions begin per cycle, so
+        // instruction `i` is fetched at cycle `i / width`.
+        let (mut fetch, mut fetched) = (0u64, 0u64);
         let mut prev_load_done = 0u64;
         let mut prev_was_dependent = false;
         let mut max_complete = 0u64;
 
-        for (i, r) in records.iter().enumerate() {
-            // Front end: at most `width` instructions begin per cycle.
-            let fetch = (i as u64) / u64::from(self.width);
-            // Window: wait for the instruction `window` ago to complete.
-            let slot = i % self.window;
-            let mut start = fetch.max(retire[slot]);
-            // Dependent-load serialization.
-            if prev_was_dependent {
-                start = start.max(prev_load_done);
-            }
-            let (latency, is_mem, is_miss) = match r.kind() {
-                InstrKind::NonMem => (1, false, false),
-                InstrKind::L1Hit => (u64::from(lat.l1), true, false),
-                InstrKind::L2Hit => (u64::from(lat.l2), true, false),
-                InstrKind::Llc => {
-                    let hit = llc_hits.get(llc_cursor).unwrap_or(false);
-                    llc_cursor += 1;
-                    (u64::from(if hit { lat.llc } else { lat.memory }), true, !hit)
-                }
-            };
-            if is_miss {
-                // An MSHR must be free: wait for the miss `mshrs` ago.
-                let slot = miss_index % self.mshrs;
-                start = start.max(mshr[slot]);
-                mshr[slot] = start + latency;
-                miss_index += 1;
-            }
+        for r in records {
+            let kind = r.kind() as usize;
+            let is_mem = kind != InstrKind::NonMem as usize;
+            let is_llc = kind == InstrKind::Llc as usize;
+            let is_miss = is_llc & !llc_hits.hit(llc_cursor);
+            llc_cursor += usize::from(is_llc);
+            let latency = latency[kind + usize::from(is_miss)];
+            // Window: wait for the instruction `window` ago to complete;
+            // dependent-load serialization.
+            let dependence = select_unpredictable(prev_was_dependent, prev_load_done, 0);
+            let mut start = fetch.max(retire[slot]).max(dependence);
+            // A miss needs a free MSHR: wait for the miss `mshrs` ago.
+            start = select_unpredictable(is_miss, start.max(mshr[miss_slot]), start);
             let complete = start + latency;
+            mshr[select_unpredictable(is_miss, miss_slot, self.mshrs)] = complete;
+            miss_slot += usize::from(is_miss);
+            miss_slot = select_unpredictable(miss_slot == self.mshrs, 0, miss_slot);
             retire[slot] = complete;
-            if is_mem {
-                prev_load_done = complete;
-            }
-            prev_was_dependent = is_mem && r.dependent();
+            slot = select_unpredictable(slot + 1 == self.window, 0, slot + 1);
+            prev_load_done = select_unpredictable(is_mem, complete, prev_load_done);
+            prev_was_dependent = is_mem & r.dependent();
             max_complete = max_complete.max(complete);
+            fetched += 1;
+            fetch += u64::from(fetched == width);
+            fetched = select_unpredictable(fetched == width, 0, fetched);
         }
         Timing { instructions: records.len() as u64, cycles: max_complete }
     }

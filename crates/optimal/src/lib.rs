@@ -8,7 +8,12 @@
 //!
 //! Implementation: one backward pass over the stream links each access to
 //! the same block's next access ([`next_use_distances`]); a forward pass
-//! then simulates each set exactly ([`simulate`]).
+//! then simulates each set exactly ([`simulate`]). Both passes are
+//! data-first (DESIGN.md §10): the backward pass keeps each block's latest
+//! access in an open-addressed table under a fixed multiplicative hash,
+//! and the forward pass, one set at a time, keeps the set as one flat row
+//! of block keys and next-use positions, found by compare mask and
+//! evicted by masked argmax.
 //!
 //! # Example
 //!
@@ -29,10 +34,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use sdbp_cache::cache::INVALID;
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
-// sdbp-allow(deterministic-iteration): next-use precomputation is keyed lookup/insert only
-use std::collections::HashMap;
 
 /// Sentinel meaning "never referenced again".
 pub const NEVER: u64 = u64::MAX;
@@ -58,20 +62,58 @@ impl OptimalResult {
     }
 }
 
+/// The fixed multiplicative hash of a block key: one 64×64→128-bit
+/// multiply folded to 64 bits (the DBRB shadow's hash). Deterministic and
+/// far cheaper than SipHash; the keys are simulator block numbers.
+#[inline]
+fn mix(key: u64) -> u64 {
+    let product = u128::from(key) * 0x9e37_79b9_7f4a_7c15;
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// Links every key of `keys` to the position of the same key's next
+/// occurrence within its segment ([`NEVER`] if none). Segment `s` is
+/// `keys[bounds[s]..bounds[s + 1]]`; `bounds` runs from 0 to `keys.len()`.
+///
+/// One backward pass through an open-addressed table (linear probing) of
+/// `(key, position)` slots, sized for the longest segment at most half
+/// full. A slot is free for the current segment when its position lies at
+/// or past the segment's end, so moving on to the previous segment frees
+/// every slot without touching the table.
+fn link_next_uses(keys: &[u64], bounds: &[usize]) -> Vec<u64> {
+    let longest = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let slots = (2 * longest).next_power_of_two();
+    let mut table = vec![(0u64, NEVER); slots];
+    let mask = slots - 1;
+    let mut next = vec![NEVER; keys.len()];
+    for segment in bounds.windows(2).rev() {
+        let end = segment[1] as u64;
+        for k in (segment[0]..segment[1]).rev() {
+            let key = keys[k];
+            let mut i = mix(key) as usize & mask;
+            loop {
+                let (slot_key, position) = table[i];
+                if position >= end {
+                    table[i] = (key, k as u64);
+                    break;
+                }
+                if slot_key == key {
+                    next[k] = position;
+                    table[i].1 = k as u64;
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+    }
+    next
+}
+
 /// For each access, the index of the next access to the same block
 /// ([`NEVER`] if none). One backward pass, O(n) expected.
 pub fn next_use_distances(stream: &[LlcAccess]) -> Vec<u64> {
-    let mut next = vec![NEVER; stream.len()];
-    // sdbp-allow(deterministic-iteration): keyed lookup/insert only; never iterated
-    let mut last_seen: HashMap<u64, u64> = HashMap::new();
-    for (i, a) in stream.iter().enumerate().rev() {
-        let key = a.block.raw();
-        if let Some(&j) = last_seen.get(&key) {
-            next[i] = j;
-        }
-        last_seen.insert(key, i as u64);
-    }
-    next
+    let keys: Vec<u64> = stream.iter().map(|a| a.block.raw()).collect();
+    link_next_uses(&keys, &[0, keys.len()])
 }
 
 /// Simulates MIN-with-bypass exactly over `stream` for an LLC of geometry
@@ -87,46 +129,115 @@ pub fn simulate_no_bypass(stream: &[LlcAccess], config: CacheConfig) -> OptimalR
     simulate_with_options(stream, config, false)
 }
 
+/// Ways compared at once; rows are padded to a multiple of this.
+const LANES: usize = 8;
+
+/// The lowest lane of `lanes` equal to `value`, comparing [`LANES`] at a
+/// time (`lanes.len()` is a multiple of [`LANES`]).
+#[inline(always)]
+fn first_equal(lanes: &[u64], value: u64) -> Option<usize> {
+    let (groups, _) = lanes.as_chunks::<LANES>();
+    groups.iter().enumerate().find_map(|(g, group)| {
+        let mask = group
+            .iter()
+            .enumerate()
+            .fold(0u32, |mask, (i, &lane)| mask | (u32::from(lane == value) << i));
+        (mask != 0).then(|| g * LANES + mask.trailing_zeros() as usize)
+    })
+}
+
+/// The larger of two `(next use, lane)` pairs; on a tie, `b`.
+#[inline(always)]
+fn later(a: (u64, usize), b: (u64, usize)) -> (u64, usize) {
+    if b.0 >= a.0 {
+        b
+    } else {
+        a
+    }
+}
+
+/// The farthest next use in `next` and the *highest* lane holding it (the
+/// last maximum, as `Iterator::max_by_key` picks). Padding lanes hold 0,
+/// below any real next use, so the argmax is masked to real ways.
+#[inline(always)]
+fn farthest(next: &[u64]) -> (u64, usize) {
+    let (groups, _) = next.as_chunks::<LANES>();
+    groups.iter().enumerate().fold((0, 0), |best, (g, n)| {
+        let pairs = [0, 2, 4, 6].map(|i| later((n[i], i), (n[i + 1], i + 1)));
+        let (far, lane) = later(later(pairs[0], pairs[1]), later(pairs[2], pairs[3]));
+        later(best, (far, g * LANES + lane))
+    })
+}
+
 /// Shared implementation for the two optimal variants.
+///
+/// MIN never moves a block between sets, so each set is simulated alone
+/// over its own accesses: a stable counting sort gathers the stream's
+/// block keys set by set, [`link_next_uses`] links them within each set
+/// (positions in the gathered order compare exactly like stream indices
+/// do), and one row of `lanes` block keys ([`INVALID`] when empty or
+/// padding) and `lanes` next-use positions (0 for padding; a real frame's
+/// next use lies after some access, so it is at least 1) replays each set.
+/// Sets fill their ways in order and never free one, so a set is full
+/// exactly when its first [`INVALID`] key is a padding lane or absent.
 pub fn simulate_with_options(
     stream: &[LlcAccess],
     config: CacheConfig,
     bypass: bool,
 ) -> OptimalResult {
-    let next = next_use_distances(stream);
-    // Per-set frames: (block, next_use).
-    // sdbp-allow(flat-metadata): offline oracle; per-set frames built once, not per-access metadata
-    let mut frames: Vec<Vec<(u64, u64)>> = vec![Vec::new(); config.sets];
+    // Set `s` gathers into `keys[bounds[s]..bounds[s + 1]]`.
+    let mut bounds = vec![0usize; config.sets + 1];
+    for a in stream {
+        bounds[a.block.set_index(config.sets) + 1] += 1;
+    }
+    let mut total = 0;
+    for bound in &mut bounds {
+        total += *bound;
+        *bound = total;
+    }
+    let mut cursor = bounds.clone();
+    let mut keys = vec![INVALID; stream.len()];
+    for a in stream {
+        let at = &mut cursor[a.block.set_index(config.sets)];
+        keys[*at] = a.block.raw();
+        *at += 1;
+    }
+    let next = link_next_uses(&keys, &bounds);
+
+    let lanes = config.ways.next_multiple_of(LANES);
+    let mut row = vec![INVALID; 2 * lanes];
     let mut result =
         OptimalResult { accesses: stream.len() as u64, hits: 0, misses: 0, bypasses: 0 };
-
-    for (i, a) in stream.iter().enumerate() {
-        let set = &mut frames[a.block.set_index(config.sets)];
-        let block = a.block.raw();
-        if let Some(f) = set.iter_mut().find(|f| f.0 == block) {
-            result.hits += 1;
-            f.1 = next[i];
-            continue;
-        }
-        result.misses += 1;
-        let incoming_next = next[i];
-        if set.len() < config.ways {
-            set.push((block, incoming_next));
-            continue;
-        }
-        // Full set: find the frame with the farthest next use.
-        let (victim_idx, &(_, victim_next)) = set
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, f)| f.1)
-            .expect("full set is non-empty");
-        if bypass && incoming_next >= victim_next {
-            // Incoming is re-used no sooner than every resident block:
-            // placing it cannot help. (Ties favour bypass: equal distances
-            // mean equal misses, and bypassing avoids a fill.)
-            result.bypasses += 1;
-        } else {
-            set[victim_idx] = (block, incoming_next);
+    for set in bounds.windows(2) {
+        let (keys_row, nexts) = row.split_at_mut(lanes);
+        keys_row.fill(INVALID);
+        nexts.fill(0);
+        let accesses = set[0]..set[1];
+        for (&block, &incoming_next) in keys[accesses.clone()].iter().zip(&next[accesses]) {
+            if let Some(way) = first_equal(keys_row, block) {
+                result.hits += 1;
+                nexts[way] = incoming_next;
+                continue;
+            }
+            result.misses += 1;
+            let way = match first_equal(keys_row, INVALID) {
+                Some(empty) if empty < config.ways => empty,
+                _ => {
+                    // Full set: the frame with the farthest next use.
+                    let (victim_next, victim) = farthest(nexts);
+                    if bypass && incoming_next >= victim_next {
+                        // Incoming is re-used no sooner than every resident
+                        // block: placing it cannot help. (Ties favour
+                        // bypass: equal distances mean equal misses, and
+                        // bypassing avoids a fill.)
+                        result.bypasses += 1;
+                        continue;
+                    }
+                    victim
+                }
+            };
+            keys_row[way] = block;
+            nexts[way] = incoming_next;
         }
     }
     result

@@ -396,6 +396,179 @@ mod reference {
             hit.is_some()
         }
     }
+
+    /// The upper-level LRU tag array as first written: parallel tag,
+    /// valid, dirty and stamp vectors, an early-exit lookup, and a fill
+    /// that takes the first invalid way or else the smallest stamp.
+    pub struct UpperLru {
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        valid: Vec<bool>,
+        dirty: Vec<bool>,
+        stamps: Vec<u64>,
+        clock: u64,
+        pub hits: u64,
+        pub misses: u64,
+    }
+
+    impl UpperLru {
+        pub fn new(sets: usize, ways: usize) -> Self {
+            let n = sets * ways;
+            UpperLru {
+                sets,
+                ways,
+                tags: vec![0; n],
+                valid: vec![false; n],
+                dirty: vec![false; n],
+                stamps: vec![0; n],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn base(&self, block: u64) -> usize {
+            (block as usize & (self.sets - 1)) * self.ways
+        }
+
+        pub fn contains(&self, block: u64) -> bool {
+            let base = self.base(block);
+            (0..self.ways).any(|w| self.valid[base + w] && self.tags[base + w] == block)
+        }
+
+        pub fn invalidate(&mut self, block: u64) -> Option<bool> {
+            let base = self.base(block);
+            for i in base..base + self.ways {
+                if self.valid[i] && self.tags[i] == block {
+                    self.valid[i] = false;
+                    return Some(self.dirty[i]);
+                }
+            }
+            None
+        }
+
+        /// Returns (hit, dirty victim).
+        pub fn access(&mut self, block: u64, is_write: bool) -> (bool, Option<u64>) {
+            self.clock += 1;
+            let base = self.base(block);
+            for i in base..base + self.ways {
+                if self.valid[i] && self.tags[i] == block {
+                    self.hits += 1;
+                    self.stamps[i] = self.clock;
+                    self.dirty[i] |= is_write;
+                    return (true, None);
+                }
+            }
+            self.misses += 1;
+            let mut victim = 0;
+            let mut best = u64::MAX;
+            for w in 0..self.ways {
+                let i = base + w;
+                if !self.valid[i] {
+                    victim = w;
+                    break;
+                }
+                if self.stamps[i] < best {
+                    best = self.stamps[i];
+                    victim = w;
+                }
+            }
+            let i = base + victim;
+            let writeback = (self.valid[i] && self.dirty[i]).then_some(self.tags[i]);
+            self.valid[i] = true;
+            self.tags[i] = block;
+            self.dirty[i] = is_write;
+            self.stamps[i] = self.clock;
+            (false, writeback)
+        }
+    }
+
+    /// The core timing model as first written: a division for the fetch
+    /// cycle, a modulo for the window and MSHR slots, and a `match` with
+    /// branches for latency, hit/miss and dependence.
+    pub fn core_cycles(
+        model: &sdbp_suite::cpu::CoreModel,
+        records: &[sdbp_suite::cache::InstrRecord],
+        llc_hits: &sdbp_suite::cache::HitMap,
+    ) -> u64 {
+        use sdbp_suite::cache::InstrKind;
+        let lat = model.latencies;
+        let mut retire = vec![0u64; model.window];
+        let mut mshr = vec![0u64; model.mshrs];
+        let (mut miss_index, mut llc_cursor) = (0usize, 0usize);
+        let (mut prev_load_done, mut prev_was_dependent, mut max_complete) = (0u64, false, 0u64);
+        for (i, r) in records.iter().enumerate() {
+            let fetch = (i as u64) / u64::from(model.width);
+            let slot = i % model.window;
+            let mut start = fetch.max(retire[slot]);
+            if prev_was_dependent {
+                start = start.max(prev_load_done);
+            }
+            let (latency, is_mem, is_miss) = match r.kind() {
+                InstrKind::NonMem => (1, false, false),
+                InstrKind::L1Hit => (u64::from(lat.l1), true, false),
+                InstrKind::L2Hit => (u64::from(lat.l2), true, false),
+                InstrKind::Llc => {
+                    let hit = llc_hits.get(llc_cursor).unwrap_or(false);
+                    llc_cursor += 1;
+                    (u64::from(if hit { lat.llc } else { lat.memory }), true, !hit)
+                }
+            };
+            if is_miss {
+                let slot = miss_index % model.mshrs;
+                start = start.max(mshr[slot]);
+                mshr[slot] = start + latency;
+                miss_index += 1;
+            }
+            let complete = start + latency;
+            retire[slot] = complete;
+            if is_mem {
+                prev_load_done = complete;
+            }
+            prev_was_dependent = is_mem && r.dependent();
+            max_complete = max_complete.max(complete);
+        }
+        max_complete
+    }
+
+    /// Belady MIN as first written: a `HashMap` backward pass for next
+    /// uses, and per-set `Vec`s of `(block, next use)` frames searched
+    /// linearly, evicting `max_by_key`'s pick (the last farthest frame).
+    /// Returns `(next uses, hits, misses, bypasses)`.
+    pub fn min(blocks: &[u64], sets: usize, ways: usize, bypass: bool) -> (Vec<u64>, [u64; 3]) {
+        let mut next = vec![u64::MAX; blocks.len()];
+        let mut last_seen: HashMap<u64, u64> = HashMap::new();
+        for (i, &b) in blocks.iter().enumerate().rev() {
+            if let Some(&j) = last_seen.get(&b) {
+                next[i] = j;
+            }
+            last_seen.insert(b, i as u64);
+        }
+        let mut frames: Vec<Vec<(u64, u64)>> = vec![Vec::new(); sets];
+        let mut counts = [0u64; 3];
+        for (i, &b) in blocks.iter().enumerate() {
+            let set = &mut frames[b as usize & (sets - 1)];
+            if let Some(f) = set.iter_mut().find(|f| f.0 == b) {
+                counts[0] += 1;
+                f.1 = next[i];
+                continue;
+            }
+            counts[1] += 1;
+            if set.len() < ways {
+                set.push((b, next[i]));
+                continue;
+            }
+            let (victim, &(_, victim_next)) =
+                set.iter().enumerate().max_by_key(|(_, f)| f.1).expect("full set");
+            if bypass && next[i] >= victim_next {
+                counts[2] += 1;
+            } else {
+                set[victim] = (b, next[i]);
+            }
+        }
+        (next, counts)
+    }
 }
 
 /// A stream with learnable structure: hot blocks reused by a few PCs,
@@ -452,5 +625,213 @@ fn kernel_matches_the_plain_reference_model() {
             "case {case}: sampler {sets}x{ways} predictor accounting diverged"
         );
         assert!(s.bypasses > 0 || sets * ways < 8, "case {case}: SDBP never bypassed");
+    }
+}
+
+/// Fixed-seed associativities and set counts for the reference-model
+/// comparisons: every width the 8-lane rows pad (1, 3, 12) plus the
+/// paper's 8 and 16, over 1 to 64 sets.
+fn reference_geometries(rng: &mut Rng64) -> Vec<(usize, usize)> {
+    let mut geometries = vec![(1, 1), (4, 3), (2, 12), (8, 8), (16, 16), (1, 12)];
+    geometries.extend((0..6).map(|_| (1 << rng.gen_range(0u32..7), rng.gen_range(1usize..20))));
+    geometries
+}
+
+/// The data-first `LruArray` must answer every access, dirty victim,
+/// residency probe and back-invalidation exactly like the parallel-vector
+/// original, including the rule that an invalidated frame is refilled
+/// before any resident block is evicted.
+#[test]
+fn lru_array_matches_the_reference_model() {
+    use sdbp_suite::cache::lru::LruArray;
+    let mut rng = Rng64::seed_from_u64(0x5017_0008);
+    for (sets, ways) in reference_geometries(&mut rng) {
+        let mut fast = LruArray::new(CacheConfig::new(sets, ways));
+        let mut slow = reference::UpperLru::new(sets, ways);
+        let span = (sets * ways * 3) as u64;
+        for step in 0..4_000 {
+            let block = rng.gen_range(0..span);
+            let what = format!("{sets}x{ways} step {step} block {block}");
+            if rng.gen_bool(0.1) {
+                let got = fast.invalidate(BlockAddr::new(block));
+                assert_eq!(got, slow.invalidate(block), "invalidate: {what}");
+            } else {
+                let write = rng.gen_bool(0.3);
+                let got = fast.access(BlockAddr::new(block), write);
+                let (hit, writeback) = slow.access(block, write);
+                assert_eq!(got.hit, hit, "hit: {what}");
+                assert_eq!(got.writeback.map(|b| b.raw()), writeback, "writeback: {what}");
+            }
+            let probe = rng.gen_range(0..span);
+            let resident = fast.contains(BlockAddr::new(probe));
+            assert_eq!(resident, slow.contains(probe), "contains: {what}");
+        }
+        let counters = (fast.hits(), fast.misses());
+        assert_eq!(counters, (slow.hits, slow.misses), "{sets}x{ways} counters");
+    }
+}
+
+/// The recorder's L1/L2 pair (whose L1 dirty victims update the L2 only
+/// when resident) must service every access at the level a hierarchy of
+/// reference arrays does.
+#[test]
+fn upper_levels_match_the_reference_model() {
+    use sdbp_suite::cache::hierarchy::{ServiceLevel, UpperLevels};
+    let mut rng = Rng64::seed_from_u64(0x5017_0009);
+    for (l1, l2) in [((2, 3), (4, 12)), ((4, 1), (8, 3)), ((8, 8), (32, 8)), ((1, 12), (2, 16))] {
+        let (l1_cfg, l2_cfg) = (CacheConfig::new(l1.0, l1.1), CacheConfig::new(l2.0, l2.1));
+        let mut fast = UpperLevels::with_configs(l1_cfg, l2_cfg);
+        let mut slow = (reference::UpperLru::new(l1.0, l1.1), reference::UpperLru::new(l2.0, l2.1));
+        let span = (l2.0 * l2.1 * 2) as u64;
+        for step in 0..6_000 {
+            let (block, write) = (rng.gen_range(0..span), rng.gen_bool(0.4));
+            let (hit, writeback) = slow.0.access(block, write);
+            let want = if hit {
+                ServiceLevel::L1
+            } else {
+                if let Some(wb) = writeback.filter(|&wb| slow.1.contains(wb)) {
+                    slow.1.access(wb, true);
+                }
+                if slow.1.access(block, write).0 { ServiceLevel::L2 } else { ServiceLevel::Llc }
+            };
+            let got = fast.access(BlockAddr::new(block), write);
+            assert_eq!(got, want, "{l1:?}/{l2:?} step {step}");
+        }
+        assert_eq!(fast.l1_hits(), slow.0.hits);
+        assert_eq!(fast.llc_accesses(), slow.1.misses);
+    }
+}
+
+/// In an inclusive three-level hierarchy an LLC eviction back-invalidates
+/// L1 and L2, and the next fill of that set must take the invalidated
+/// frame. The jointly simulated hierarchy must service every instruction
+/// at the level a hierarchy built from reference arrays does.
+#[test]
+fn inclusive_hierarchy_matches_the_reference_model() {
+    use sdbp_suite::cache::full::{FullHierarchy, FullHierarchyConfig, Inclusion};
+    use sdbp_suite::cache::hierarchy::ServiceLevel;
+    use sdbp_suite::cache::AccessOutcome;
+    use sdbp_suite::trace::{Addr, Instr, MemRef};
+    let mut rng = Rng64::seed_from_u64(0x5017_000a);
+    let (l1, l2, llc) = ((2, 3), (4, 4), CacheConfig::new(4, 3));
+    let cfg = FullHierarchyConfig {
+        l1: CacheConfig::new(l1.0, l1.1),
+        l2: CacheConfig::new(l2.0, l2.1),
+        inclusion: Inclusion::Inclusive,
+        writebacks_to_llc: false,
+    };
+    let mut fast = FullHierarchy::new(cfg, Cache::new(llc));
+    let mut slow = (reference::UpperLru::new(l1.0, l1.1), reference::UpperLru::new(l2.0, l2.1));
+    let mut slow_llc = Cache::new(llc);
+    let mut invalidations = 0u64;
+    for step in 0..20_000 {
+        let (block, write) = (rng.gen_range(0u64..64), rng.gen_bool(0.3));
+        let addr = Addr::new(block * 64);
+        let mem = if write { MemRef::write(addr) } else { MemRef::read(addr) };
+        let got = fast.execute(&Instr::mem(Pc::new(0x400), mem));
+        let (hit, writeback) = slow.0.access(block, write);
+        let want = if hit {
+            ServiceLevel::L1
+        } else {
+            if let Some(wb) = writeback.filter(|&wb| slow.1.contains(wb)) {
+                slow.1.access(wb, true);
+            }
+            if slow.1.access(block, write).0 {
+                ServiceLevel::L2
+            } else {
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                let a = LlcAccess::demand(Pc::new(0x400), BlockAddr::new(block), kind, 0);
+                if let AccessOutcome::Filled { evicted: Some(victim) } = slow_llc.access(&a) {
+                    slow.0.invalidate(victim.raw());
+                    slow.1.invalidate(victim.raw());
+                    invalidations += 1;
+                }
+                ServiceLevel::Llc
+            }
+        };
+        assert_eq!(got, Some(want), "step {step} block {block}");
+    }
+    assert!(invalidations > 1_000, "stream must exercise back-invalidation");
+    assert_eq!(fast.back_invalidations(), invalidations);
+    assert_eq!(fast.llc().stats(), slow_llc.stats());
+}
+
+/// The ring-cursor, table-and-select timing loop must give exactly the
+/// cycles of the division-and-branch original for every core shape —
+/// window 1, width 1 and 3, a single MSHR, odd latencies — and for hit
+/// maps shorter than the number of LLC records (the rest count as misses).
+#[test]
+fn core_model_matches_the_reference_loop() {
+    use sdbp_suite::cache::config::Latencies;
+    use sdbp_suite::cache::recorder::{InstrKind, InstrRecord};
+    use sdbp_suite::cpu::CoreModel;
+    let base = CoreModel::default();
+    let mut models = vec![
+        base,
+        CoreModel { window: 1, ..base },
+        CoreModel { width: 1, ..base },
+        CoreModel { width: 3, ..base },
+        CoreModel { mshrs: 1, ..base },
+        CoreModel { width: 3, window: 5, mshrs: 1, ..base },
+    ];
+    let mut rng = Rng64::seed_from_u64(0x5017_000b);
+    for _ in 0..6 {
+        let pick = |rng: &mut Rng64, hi: u64| rng.gen_range(1..hi) as u32;
+        let latencies = Latencies {
+            l1: pick(&mut rng, 4),
+            l2: pick(&mut rng, 20),
+            llc: pick(&mut rng, 60),
+            memory: pick(&mut rng, 400),
+        };
+        models.push(CoreModel {
+            width: pick(&mut rng, 9),
+            window: rng.gen_range(1usize..200),
+            mshrs: rng.gen_range(1usize..20),
+            latencies,
+        });
+    }
+    for case in 0..CASES {
+        let kinds = [InstrKind::NonMem, InstrKind::L1Hit, InstrKind::L2Hit, InstrKind::Llc];
+        let records: Vec<InstrRecord> = (0..rng.gen_range(1usize..3_000))
+            .map(|_| InstrRecord::new(kinds[rng.gen_range(0u64..4) as usize], rng.gen_bool(0.3)))
+            .collect();
+        let llc = records.iter().filter(|r| r.kind() == InstrKind::Llc).count();
+        // Every third case gets a hit map shorter than the LLC records.
+        let len = if case % 3 == 0 { rng.gen_range(0..llc as u64 + 1) as usize } else { llc };
+        let hits: HitMap = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+        for model in &models {
+            let got = model.simulate(&records, &hits);
+            let want = reference::core_cycles(model, &records, &hits);
+            assert_eq!(got.cycles, want, "case {case}: {model:?}, {len} of {llc} hits");
+            assert_eq!(got.instructions, records.len() as u64);
+        }
+    }
+}
+
+/// The per-set, flat-row MIN oracle must count exactly the hits, misses
+/// and bypasses of the nested-`Vec` original, with and without bypass,
+/// and link the same next uses, on fixed-seed streams over ways 1, 3, 12
+/// and more.
+#[test]
+fn min_matches_the_reference_oracle() {
+    let mut rng = Rng64::seed_from_u64(0x5017_000c);
+    for (sets, ways) in reference_geometries(&mut rng) {
+        for case in 0..4 {
+            let span = (sets * ways) as u64 * rng.gen_range(1u64..5);
+            let raw: Vec<(u8, u16, bool)> = (0..rng.gen_range(1usize..3_000))
+                .map(|_| (0, rng.gen_range(0..span) as u16, false))
+                .collect();
+            let stream = to_llc_stream(&raw);
+            let blocks: Vec<u64> = stream.iter().map(|a| a.block.raw()).collect();
+            let cfg = CacheConfig::new(sets, ways);
+            for bypass in [true, false] {
+                let (next, [hits, misses, bypasses]) = reference::min(&blocks, sets, ways, bypass);
+                let got = optimal::simulate_with_options(&stream, cfg, bypass);
+                let what = format!("{sets}x{ways} case {case} bypass {bypass}");
+                let counts = (got.hits, got.misses, got.bypasses);
+                assert_eq!(counts, (hits, misses, bypasses), "{what}");
+                assert_eq!(optimal::next_use_distances(&stream), next, "{what}");
+            }
+        }
     }
 }
