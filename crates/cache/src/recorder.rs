@@ -129,6 +129,11 @@ fn tag_block(block: u64, core: u8) -> u64 {
     (block ^ (u64::from(core) << CORE_SALT_SHIFT)) | (u64::from(core) << CORE_TAG_SHIFT)
 }
 
+/// The most instructions one recording can take: [`LlcAccess::instr`]
+/// indexes them as a `u32`. Longer requests fail with
+/// [`RecordError::TooLong`].
+pub const MAX_RECORD_INSTRUCTIONS: u64 = (1 << 32) - 1;
+
 /// Records `instructions` instructions of `instrs` through a fresh L1/L2
 /// pair for core 0. See [`record_for_core`] for multi-core streams.
 pub fn record<I>(name: &str, instrs: I, instructions: u64) -> RecordedWorkload
@@ -188,7 +193,8 @@ pub enum RecordError<E> {
         wanted: u64,
     },
     /// More instructions were requested than [`LlcAccess::instr`] can
-    /// index (`u32::MAX`); recording would silently truncate ordinals.
+    /// index ([`MAX_RECORD_INSTRUCTIONS`]); recording would silently
+    /// truncate ordinals.
     TooLong {
         /// Instructions requested.
         wanted: u64,
@@ -234,7 +240,7 @@ pub fn try_record_for_core<I, E>(
 where
     I: IntoIterator<Item = Result<Instr, E>>,
 {
-    if instructions > u64::from(u32::MAX) {
+    if instructions > MAX_RECORD_INSTRUCTIONS {
         return Err(RecordError::TooLong { wanted: instructions });
     }
     let mut upper = UpperLevels::new();
@@ -259,7 +265,7 @@ where
                             block: BlockAddr::new(tag_block(m.addr.block().raw(), core)),
                             kind: m.kind,
                             core,
-                            // sdbp-allow(lossless-codec-casts): i < instructions <= u32::MAX, guarded at entry
+                            // sdbp-allow(lossless-codec-casts): i < instructions <= MAX_RECORD_INSTRUCTIONS
                             instr: i as u32,
                         });
                         InstrKind::Llc
@@ -291,7 +297,7 @@ pub fn try_record_batches(
     instructions: u64,
     core: u8,
 ) -> Result<RecordedWorkload, RecordError<String>> {
-    if instructions > u64::from(u32::MAX) {
+    if instructions > MAX_RECORD_INSTRUCTIONS {
         return Err(RecordError::TooLong { wanted: instructions });
     }
     let mut upper = UpperLevels::new();
@@ -328,7 +334,7 @@ pub fn try_record_batches(
                             block: BlockAddr::new(tag_block(block.raw(), core)),
                             kind: if is_write { AccessKind::Write } else { AccessKind::Read },
                             core,
-                            // sdbp-allow(lossless-codec-casts): taken < instructions <= u32::MAX, guarded at entry
+                            // sdbp-allow(lossless-codec-casts): taken < instructions <= MAX_RECORD_INSTRUCTIONS
                             instr: taken as u32,
                         });
                         InstrKind::Llc

@@ -33,6 +33,7 @@
 //! `target/engine-report.json` (override with the `SDBP_ENGINE_REPORT`
 //! environment variable) after the run.
 
+use sdbp_cache::recorder::MAX_RECORD_INSTRUCTIONS;
 use sdbp_engine::{Engine, Parallelism};
 use sdbp_harness::experiments::{self, Context, ALL_EXPERIMENTS};
 use std::io::Write as _;
@@ -96,13 +97,16 @@ fn main() {
             "--instructions" => {
                 let n = args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
                 match n {
-                    Some(n) if n > 0 => {
+                    Some(n) if n > 0 && n <= MAX_RECORD_INSTRUCTIONS => {
                         // Read once per record; set before any recording.
                         std::env::set_var("SDBP_INSTRUCTIONS", n.to_string());
                         args.drain(i..=i + 1);
                     }
                     _ => {
-                        eprintln!("--instructions needs a positive integer");
+                        eprintln!(
+                            "--instructions needs a positive integer up to \
+                             {MAX_RECORD_INSTRUCTIONS}"
+                        );
                         std::process::exit(2);
                     }
                 }

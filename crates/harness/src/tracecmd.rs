@@ -29,16 +29,18 @@
 
 use crate::runner::{record_from_source, run_policy, run_policy_sampled, PolicyKind};
 use sdbp::registry::PolicySpec;
-use sdbp_cache::recorder::{record_for_core, RecordedWorkload};
+use sdbp_cache::recorder::{try_record_for_core, RecordedWorkload, MAX_RECORD_INSTRUCTIONS};
 use sdbp_cache::replay::replay;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_cpu::CoreModel;
 use sdbp_sample::{build_plan, calibrate_bound, replay_sampled, PlanConfig, SamplingPlan};
+use sdbp_serve::MAX_LLC_LINES;
 use sdbp_traceio::{
     convert_path, import_text, ChunkStat, FileSource, TraceMeta, TraceReader, TraceWriter,
     WriteSummary, FORMAT_V1, FORMAT_V2,
 };
 use sdbp_workloads::{benchmark, instructions};
+use std::convert::Infallible;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -138,9 +140,18 @@ impl Flags {
 }
 
 /// The per-run instruction budget: `--instructions`, else the
-/// `SDBP_INSTRUCTIONS`/default chain every experiment uses.
+/// `SDBP_INSTRUCTIONS`/default chain every experiment uses. A budget
+/// longer than one recording can index is a usage error, so `record`
+/// refuses it before it creates the archive and `replay` before it runs.
 fn budget(flags: &Flags) -> Result<u64, String> {
-    Ok(flags.get_u64("instructions")?.unwrap_or_else(instructions))
+    let n = flags.get_u64("instructions")?.unwrap_or_else(instructions);
+    if n > MAX_RECORD_INSTRUCTIONS {
+        return Err(format!(
+            "instruction budget {n} exceeds the recordable maximum of \
+             {MAX_RECORD_INSTRUCTIONS}\n{USAGE}"
+        ));
+    }
+    Ok(n)
 }
 
 fn core_id(flags: &Flags) -> Result<u8, String> {
@@ -193,7 +204,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             let bench =
                 benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
             let n = budget(&flags)?;
-            record_for_core(bench.name, bench.trace_seeded(u64::from(core)), n, core)
+            let trace = bench.trace_seeded(u64::from(core)).map(Ok::<_, Infallible>);
+            try_record_for_core(bench.name, trace, n, core).map_err(|e| e.to_string())?
         }
         (None, [path]) => workload_from_file(Path::new(path), core)?,
         (Some(_), [_, ..]) => {
@@ -558,15 +570,20 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let [path] = flags.positional.as_slice() else {
         return Err(format!("info needs exactly one FILE.sdbt\n{USAGE}"));
     };
+    // One counter per set: the count is capped at the largest LLC the
+    // tools accept, so a typo cannot ask for terabytes of counters.
     let hist_sets = match flags.get_u64("set-histogram")? {
-        Some(s) if s >= 16 && usize::try_from(s).is_ok_and(usize::is_power_of_two) => {
-            Some(s as usize)
-        }
-        Some(s) => {
-            return Err(format!(
-                "--set-histogram needs a power-of-two set count >= 16, got {s}"
-            ))
-        }
+        Some(s) => match usize::try_from(s) {
+            Ok(sets) if sets >= 16 && sets <= MAX_LLC_LINES && sets.is_power_of_two() => {
+                Some(sets)
+            }
+            _ => {
+                return Err(format!(
+                    "--set-histogram needs a power-of-two set count from 16 to \
+                     {MAX_LLC_LINES}, got {s}\n{USAGE}"
+                ))
+            }
+        },
         None => None,
     };
     let path = Path::new(path);
