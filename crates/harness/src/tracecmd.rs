@@ -574,7 +574,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     // tools accept, so a typo cannot ask for terabytes of counters.
     let hist_sets = match flags.get_u64("set-histogram")? {
         Some(s) => match usize::try_from(s) {
-            Ok(sets) if sets >= 16 && sets <= MAX_LLC_LINES && sets.is_power_of_two() => {
+            Ok(sets) if (16..=MAX_LLC_LINES).contains(&sets) && sets.is_power_of_two() => {
                 Some(sets)
             }
             _ => {
