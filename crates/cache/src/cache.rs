@@ -22,6 +22,17 @@ use std::fmt;
 /// ever has this key.
 pub const INVALID: u64 = u64::MAX;
 
+/// The fixed multiplicative hash of a block key, for open-addressed
+/// tables keyed by block (with [`INVALID`] free slots): one 64×64→128-bit
+/// multiply folded to 64 bits. Deterministic (no per-process seed) and far
+/// cheaper than SipHash; the keys are block numbers the simulator
+/// generates, not adversarial input.
+#[inline]
+pub fn key_hash(key: u64) -> u64 {
+    let product = u128::from(key) * 0x9e37_79b9_7f4a_7c15;
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
 /// Result of presenting one access to a [`Cache`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum AccessOutcome {

@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use sdbp_cache::cache::INVALID;
+use sdbp_cache::cache::{key_hash, INVALID};
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
 
@@ -62,15 +62,6 @@ impl OptimalResult {
     }
 }
 
-/// The fixed multiplicative hash of a block key: one 64×64→128-bit
-/// multiply folded to 64 bits (the DBRB shadow's hash). Deterministic and
-/// far cheaper than SipHash; the keys are simulator block numbers.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let product = u128::from(key) * 0x9e37_79b9_7f4a_7c15;
-    (product as u64) ^ ((product >> 64) as u64)
-}
-
 /// Links every key of `keys` to the position of the same key's next
 /// occurrence within its segment ([`NEVER`] if none). Segment `s` is
 /// `keys[bounds[s]..bounds[s + 1]]`; `bounds` runs from 0 to `keys.len()`.
@@ -90,7 +81,7 @@ fn link_next_uses(keys: &[u64], bounds: &[usize]) -> Vec<u64> {
         let end = segment[1] as u64;
         for k in (segment[0]..segment[1]).rev() {
             let key = keys[k];
-            let mut i = mix(key) as usize & mask;
+            let mut i = key_hash(key) as usize & mask;
             loop {
                 let (slot_key, position) = table[i];
                 if position >= end {

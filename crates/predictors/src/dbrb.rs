@@ -17,7 +17,7 @@
 
 use crate::predictor::{DeadBlockPredictor, PredictorStats};
 use sdbp_cache::policy::{argmin_by, ReplacementPolicy, Victim};
-use sdbp_cache::cache::INVALID;
+use sdbp_cache::cache::{key_hash, INVALID};
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::{CacheConfig, CacheStats, MetaPlane};
 use sdbp_trace::BlockAddr;
@@ -36,16 +36,6 @@ impl Default for DbrbConfig {
     fn default() -> Self {
         DbrbConfig { bypass: true }
     }
-}
-
-/// The fixed multiplicative hash of a block key: one 64×64→128-bit
-/// multiply folded to 64 bits. Deterministic (no per-process seed) and far
-/// cheaper than SipHash; the keys are block numbers the simulator
-/// generates, not adversarial input.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let product = u128::from(key) * 0x9e37_79b9_7f4a_7c15;
-    (product as u64) ^ ((product >> 64) as u64)
 }
 
 /// One generation of the shadow: an open-addressed table (linear
@@ -81,7 +71,7 @@ impl Generation {
         (hash >> 32) as usize & (self.slots.len() - 1)
     }
 
-    /// Records `key` (whose [`mix`] is `hash`) as having left at `when`.
+    /// Records `key` (whose [`key_hash`] is `hash`) as having left at `when`.
     #[inline]
     fn insert(&mut self, key: u64, hash: u64, when: u64) {
         let (word, bit) = self.filter_slot(hash);
@@ -98,7 +88,7 @@ impl Generation {
         }
     }
 
-    /// The slot holding `key` (whose [`mix`] is `hash`), if any.
+    /// The slot holding `key` (whose [`key_hash`] is `hash`), if any.
     #[inline]
     fn find(&self, key: u64, hash: u64) -> Option<usize> {
         let (word, bit) = self.filter_slot(hash);
@@ -138,7 +128,7 @@ impl Generation {
             }
             // The entry stays put when its home lies cyclically in
             // (hole, i]; otherwise it may move back into the hole.
-            let home = self.home(mix(key));
+            let home = self.home(key_hash(key));
             let stays = if hole <= i { hole < home && home <= i } else { hole < home || home <= i };
             if !stays {
                 self.slots[hole] = self.slots[i];
@@ -198,7 +188,7 @@ impl Shadow {
     /// entry at its next miss, before it can leave again.
     #[inline]
     fn insert(&mut self, block: BlockAddr, when: u64) {
-        let (key, hash) = (block.raw(), mix(block.raw()));
+        let (key, hash) = (block.raw(), key_hash(block.raw()));
         debug_assert!(
             self.generations.iter().all(|g| g.find(key, hash).is_none()),
             "block {block} recorded twice"
@@ -209,7 +199,7 @@ impl Shadow {
     /// Removes `block`'s entry, returning when it left.
     #[inline]
     fn take(&mut self, block: BlockAddr) -> Option<u64> {
-        let (key, hash) = (block.raw(), mix(block.raw()));
+        let (key, hash) = (block.raw(), key_hash(block.raw()));
         self.generations.iter_mut().find_map(|g| g.take(key, hash))
     }
 
