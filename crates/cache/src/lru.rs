@@ -292,6 +292,23 @@ mod tests {
     }
 
     #[test]
+    fn the_first_empty_frame_is_filled_first() {
+        // Frame placement is invisible to LRU outcomes, so pin it on the
+        // row itself: fills take the lowest empty way, in any order of
+        // invalidation.
+        let mut c = LruArray::new(CacheConfig::new(1, 4));
+        for b in [1, 2, 3, 4] {
+            c.access(BlockAddr::new(b), false);
+        }
+        c.invalidate(BlockAddr::new(4));
+        c.invalidate(BlockAddr::new(2));
+        c.access(BlockAddr::new(5), false);
+        assert_eq!(c.rows[..4], [1, 5, 3, INVALID]);
+        c.access(BlockAddr::new(6), false);
+        assert_eq!(c.rows[..4], [1, 5, 3, 6]);
+    }
+
+    #[test]
     fn write_back_updates_only_resident_blocks() {
         let mut c = tiny();
         assert!(!c.write_back(BlockAddr::new(0)));
