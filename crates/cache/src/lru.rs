@@ -7,9 +7,9 @@
 //!
 //! Storage is data-first, like the LLC's tag rows (DESIGN.md §10): one row
 //! per set holds the set's block keys, recency stamps and dirty bits side
-//! by side, padded to a multiple of [`LANES`] ways. An empty frame holds
+//! by side, padded to a multiple of 8 ways. An empty frame holds
 //! [`INVALID`] with stamp 0; a padding lane holds [`INVALID`] with stamp
-//! `u64::MAX`. Lookup is a [`LANES`]-wide compare mask over the keys, and
+//! `u64::MAX`. Lookup is an 8-lane compare mask over the keys, and
 //! the victim is the lowest-numbered frame with the smallest stamp — the
 //! first empty frame when there is one, since every access stamps its
 //! frame with a clock that starts at 1.

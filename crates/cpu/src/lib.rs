@@ -107,10 +107,8 @@ impl CoreModel {
         let width = u64::from(self.width);
         // Completion cycle of the instruction `window` slots ago.
         let mut retire = vec![0u64; self.window];
-        // Completion cycle of the miss `mshrs` misses ago, plus one spare
-        // entry that takes the (discarded) store of every non-miss, so a
-        // slot is only written by the miss it belongs to.
-        let mut mshr = vec![0u64; self.mshrs + 1];
+        // Completion cycle of the miss `mshrs` misses ago.
+        let mut mshr = vec![0u64; self.mshrs];
         let (mut slot, mut miss_slot, mut llc_cursor) = (0usize, 0usize, 0usize);
         // Front end: at most `width` instructions begin per cycle, so
         // instruction `i` is fetched at cycle `i / width`.
@@ -131,9 +129,10 @@ impl CoreModel {
             let dependence = select_unpredictable(prev_was_dependent, prev_load_done, 0);
             let mut start = fetch.max(retire[slot]).max(dependence);
             // A miss needs a free MSHR: wait for the miss `mshrs` ago.
-            start = select_unpredictable(is_miss, start.max(mshr[miss_slot]), start);
+            let free = mshr[miss_slot];
+            start = select_unpredictable(is_miss, start.max(free), start);
             let complete = start + latency;
-            mshr[select_unpredictable(is_miss, miss_slot, self.mshrs)] = complete;
+            mshr[miss_slot] = select_unpredictable(is_miss, complete, free);
             miss_slot += usize::from(is_miss);
             miss_slot = select_unpredictable(miss_slot == self.mshrs, 0, miss_slot);
             retire[slot] = complete;

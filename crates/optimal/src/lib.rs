@@ -164,7 +164,7 @@ fn farthest(next: &[u64]) -> (u64, usize) {
 ///
 /// MIN never moves a block between sets, so each set is simulated alone
 /// over its own accesses: a stable counting sort gathers the stream's
-/// block keys set by set, [`link_next_uses`] links them within each set
+/// block keys set by set, `link_next_uses` links them within each set
 /// (positions in the gathered order compare exactly like stream indices
 /// do), and one row of `lanes` block keys ([`INVALID`] when empty or
 /// padding) and `lanes` next-use positions (0 for padding; a real frame's
