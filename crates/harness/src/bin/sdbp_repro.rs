@@ -97,16 +97,13 @@ fn main() {
             "--instructions" => {
                 let n = args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
                 match n {
-                    Some(n) if n > 0 && n <= MAX_RECORD_INSTRUCTIONS => {
+                    Some(n) if n > 0 => {
                         // Read once per record; set before any recording.
                         std::env::set_var("SDBP_INSTRUCTIONS", n.to_string());
                         args.drain(i..=i + 1);
                     }
                     _ => {
-                        eprintln!(
-                            "--instructions needs a positive integer up to \
-                             {MAX_RECORD_INSTRUCTIONS}"
-                        );
+                        eprintln!("--instructions needs a positive integer");
                         std::process::exit(2);
                     }
                 }
@@ -163,6 +160,17 @@ fn main() {
             println!("{id}");
         }
         return;
+    }
+
+    // One recording indexes at most MAX_RECORD_INSTRUCTIONS instructions,
+    // whether the budget came from --instructions or SDBP_INSTRUCTIONS.
+    let budget = sdbp_workloads::instructions();
+    if budget > MAX_RECORD_INSTRUCTIONS {
+        eprintln!(
+            "instruction budget {budget} exceeds the recordable maximum of \
+             {MAX_RECORD_INSTRUCTIONS}\n{USAGE}"
+        );
+        std::process::exit(2);
     }
 
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {

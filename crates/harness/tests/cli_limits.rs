@@ -36,12 +36,20 @@ fn scratch(test: &str) -> PathBuf {
 
 #[test]
 fn experiment_runner_refuses_a_budget_past_the_recordable_maximum() {
-    let out = sdbp_repro(&["--instructions", "5000000000", "--serial", "fig4"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--instructions needs a positive integer up to 4294967295"));
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert!(out.stdout.is_empty(), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    let from_flag = sdbp_repro(&["--instructions", "5000000000", "--serial", "fig4"]);
+    let from_env = Command::new(env!("CARGO_BIN_EXE_sdbp-repro"))
+        .args(["--serial", "fig4"])
+        .env("SDBP_INSTRUCTIONS", "5000000000")
+        .output()
+        .expect("sdbp-repro runs");
+    for out in [from_flag, from_env] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.contains("instruction budget 5000000000 exceeds the recordable maximum"));
+        assert!(stderr.contains("usage:"), "stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    }
 }
 
 #[test]
