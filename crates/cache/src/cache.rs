@@ -62,7 +62,7 @@ impl AccessOutcome {
 /// Bit `i` of the result is set when `lanes[i] == key` (`lanes` holds at
 /// most 64 keys). Every lane is compared; nothing branches on the data.
 #[inline(always)]
-fn lane_mask(lanes: &[u64], key: u64) -> u64 {
+pub(crate) fn lane_mask(lanes: &[u64], key: u64) -> u64 {
     lanes
         .iter()
         .enumerate()

@@ -14,29 +14,25 @@
 //! first empty frame when there is one, since every access stamps its
 //! frame with a clock that starts at 1.
 
-use crate::cache::INVALID;
+use crate::cache::{lane_mask, INVALID};
 use crate::config::CacheConfig;
 use sdbp_trace::BlockAddr;
 
-/// Ways compared at once; rows are padded to a multiple of this.
-const LANES: usize = 8;
+/// Ways compared at once; rows are padded to a multiple of this. The
+/// MIN oracle's rows use the same groups.
+pub const LANES: usize = 8;
 
 /// Stamp of a padding lane: larger than any clock, so never a victim.
 const PADDING: u64 = u64::MAX;
 
-/// Bit `i` of the result is set when `group[i] == value`.
-#[inline(always)]
-fn equal_mask(group: &[u64; LANES], value: u64) -> u32 {
-    group.iter().enumerate().fold(0, |mask, (i, &lane)| mask | (u32::from(lane == value) << i))
-}
-
 /// The lowest lane of `lanes` equal to `value`, comparing [`LANES`] at a
-/// time (`lanes.len()` is a multiple of [`LANES`]).
+/// time (`lanes.len()` must be a multiple of [`LANES`]; a partial last
+/// group is not searched).
 #[inline(always)]
-fn first_equal(lanes: &[u64], value: u64) -> Option<usize> {
+pub fn first_equal(lanes: &[u64], value: u64) -> Option<usize> {
     let (groups, _) = lanes.as_chunks::<LANES>();
     groups.iter().enumerate().find_map(|(g, group)| {
-        let mask = equal_mask(group, value);
+        let mask = lane_mask(group, value);
         (mask != 0).then(|| g * LANES + mask.trailing_zeros() as usize)
     })
 }

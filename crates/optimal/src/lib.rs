@@ -35,6 +35,7 @@
 #![warn(missing_debug_implementations)]
 
 use sdbp_cache::cache::{key_hash, INVALID};
+use sdbp_cache::lru::{first_equal, LANES};
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
 
@@ -118,23 +119,6 @@ pub fn simulate(stream: &[LlcAccess], config: CacheConfig) -> OptimalResult {
 /// Comparing against [`simulate`] isolates the benefit of optimal bypass.
 pub fn simulate_no_bypass(stream: &[LlcAccess], config: CacheConfig) -> OptimalResult {
     simulate_with_options(stream, config, false)
-}
-
-/// Ways compared at once; rows are padded to a multiple of this.
-const LANES: usize = 8;
-
-/// The lowest lane of `lanes` equal to `value`, comparing [`LANES`] at a
-/// time (`lanes.len()` is a multiple of [`LANES`]).
-#[inline(always)]
-fn first_equal(lanes: &[u64], value: u64) -> Option<usize> {
-    let (groups, _) = lanes.as_chunks::<LANES>();
-    groups.iter().enumerate().find_map(|(g, group)| {
-        let mask = group
-            .iter()
-            .enumerate()
-            .fold(0u32, |mask, (i, &lane)| mask | (u32::from(lane == value) << i));
-        (mask != 0).then(|| g * LANES + mask.trailing_zeros() as usize)
-    })
 }
 
 /// The larger of two `(next use, lane)` pairs; on a tie, `b`.
