@@ -63,9 +63,7 @@ const SPECS: &[&str] = &[
 
 /// FNV-1a over the hit map, one byte (0 or 1) per access.
 fn hit_digest(hits: &HitMap) -> u64 {
-    hits.iter().fold(0xcbf2_9ce4_8422_2325, |h, hit| {
-        (h ^ u64::from(hit)).wrapping_mul(0x0100_0000_01b3)
-    })
+    fnv1a(hits.iter().map(u8::from))
 }
 
 /// FNV-1a over a byte stream.

@@ -159,9 +159,7 @@ const FULL_FIXTURE: &str = include_str!("golden/replay_full_stats.tsv");
 /// FNV-1a over the hit map, one byte (0 or 1) per access — the digest
 /// `examples/golden_gen.rs` writes.
 fn hit_digest(hits: &sdbp_suite::cache::HitMap) -> u64 {
-    hits.iter().fold(0xcbf2_9ce4_8422_2325, |h, hit| {
-        (h ^ u64::from(hit)).wrapping_mul(0x0100_0000_01b3)
-    })
+    fnv1a(hits.iter().map(u8::from))
 }
 
 /// The full-stats gate: every golden row must reproduce *every*

@@ -484,6 +484,26 @@ mod reference {
         }
     }
 
+    /// One access through an L1 and an L2 of reference arrays, paired as
+    /// the recorder pairs them: an L1 dirty victim updates the L2 only
+    /// when resident there. Returns where the access was serviced.
+    pub fn upper_access(
+        l1: &mut UpperLru,
+        l2: &mut UpperLru,
+        block: u64,
+        write: bool,
+    ) -> sdbp_suite::cache::hierarchy::ServiceLevel {
+        use sdbp_suite::cache::hierarchy::ServiceLevel;
+        let (hit, writeback) = l1.access(block, write);
+        if hit {
+            return ServiceLevel::L1;
+        }
+        if let Some(wb) = writeback.filter(|&wb| l2.contains(wb)) {
+            l2.access(wb, true);
+        }
+        if l2.access(block, write).0 { ServiceLevel::L2 } else { ServiceLevel::Llc }
+    }
+
     /// The core timing model as first written: a division for the fetch
     /// cycle, a modulo for the window and MSHR slots, and a `match` with
     /// branches for latency, hit/miss and dependence.
@@ -676,7 +696,7 @@ fn lru_array_matches_the_reference_model() {
 /// reference arrays does.
 #[test]
 fn upper_levels_match_the_reference_model() {
-    use sdbp_suite::cache::hierarchy::{ServiceLevel, UpperLevels};
+    use sdbp_suite::cache::hierarchy::UpperLevels;
     let mut rng = Rng64::seed_from_u64(0x5017_0009);
     for (l1, l2) in [((2, 3), (4, 12)), ((4, 1), (8, 3)), ((8, 8), (32, 8)), ((1, 12), (2, 16))] {
         let (l1_cfg, l2_cfg) = (CacheConfig::new(l1.0, l1.1), CacheConfig::new(l2.0, l2.1));
@@ -685,15 +705,7 @@ fn upper_levels_match_the_reference_model() {
         let span = (l2.0 * l2.1 * 2) as u64;
         for step in 0..6_000 {
             let (block, write) = (rng.gen_range(0..span), rng.gen_bool(0.4));
-            let (hit, writeback) = slow.0.access(block, write);
-            let want = if hit {
-                ServiceLevel::L1
-            } else {
-                if let Some(wb) = writeback.filter(|&wb| slow.1.contains(wb)) {
-                    slow.1.access(wb, true);
-                }
-                if slow.1.access(block, write).0 { ServiceLevel::L2 } else { ServiceLevel::Llc }
-            };
+            let want = reference::upper_access(&mut slow.0, &mut slow.1, block, write);
             let got = fast.access(BlockAddr::new(block), write);
             assert_eq!(got, want, "{l1:?}/{l2:?} step {step}");
         }
@@ -729,26 +741,16 @@ fn inclusive_hierarchy_matches_the_reference_model() {
         let addr = Addr::new(block * 64);
         let mem = if write { MemRef::write(addr) } else { MemRef::read(addr) };
         let got = fast.execute(&Instr::mem(Pc::new(0x400), mem));
-        let (hit, writeback) = slow.0.access(block, write);
-        let want = if hit {
-            ServiceLevel::L1
-        } else {
-            if let Some(wb) = writeback.filter(|&wb| slow.1.contains(wb)) {
-                slow.1.access(wb, true);
+        let want = reference::upper_access(&mut slow.0, &mut slow.1, block, write);
+        if want == ServiceLevel::Llc {
+            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            let a = LlcAccess::demand(Pc::new(0x400), BlockAddr::new(block), kind, 0);
+            if let AccessOutcome::Filled { evicted: Some(victim) } = slow_llc.access(&a) {
+                slow.0.invalidate(victim.raw());
+                slow.1.invalidate(victim.raw());
+                invalidations += 1;
             }
-            if slow.1.access(block, write).0 {
-                ServiceLevel::L2
-            } else {
-                let kind = if write { AccessKind::Write } else { AccessKind::Read };
-                let a = LlcAccess::demand(Pc::new(0x400), BlockAddr::new(block), kind, 0);
-                if let AccessOutcome::Filled { evicted: Some(victim) } = slow_llc.access(&a) {
-                    slow.0.invalidate(victim.raw());
-                    slow.1.invalidate(victim.raw());
-                    invalidations += 1;
-                }
-                ServiceLevel::Llc
-            }
-        };
+        }
         assert_eq!(got, Some(want), "step {step} block {block}");
     }
     assert!(invalidations > 1_000, "stream must exercise back-invalidation");
